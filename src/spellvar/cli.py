@@ -2,9 +2,9 @@
 
 Each stage is independently rerunnable. Flags override an optional flat
 ``key = value`` config file whose keys mirror the flag names. Every run
-is deterministic: identical inputs give byte-identical output files at
-any ``--threads`` setting, and the thread count is deliberately kept out
-of report headers.
+is deterministic: identical inputs give byte-identical output files
+(for ``extract`` at any ``--threads`` setting), and the thread count is
+deliberately kept out of report headers.
 """
 
 from __future__ import annotations
@@ -151,7 +151,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         retained,
         lexicon,
         config,
-        threads=opts.threads(),
         lexicon_label=lexicon_path,
         embedding_label=embeddings_path,
     )

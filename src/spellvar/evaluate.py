@@ -11,18 +11,20 @@ Restricting the pool to the lexicon is what keeps the metric stable when
 the embedding vocabulary grows by more informal tokens: additions outside
 the lexicon cannot enter any ranking.
 
-``rank_formal_neighbors`` is the production path (batched dot products);
-``brute_force_rank`` recomputes the same ordering pairwise with no
-batching and serves as its equivalence oracle in the tests.
+One exact engine, ``_Ranker``, serves ``evaluate_pairs`` and
+``rank_formal_neighbors``: it builds the pool once, scores queries in fixed
+blocks with one float64 matrix product each, and counts each target's rank
+without sorting the pool. Identical vectors tie exactly, broken by token
+order. ``brute_force_rank`` recomputes the ordering one cosine at a time and
+serves as its oracle in the tests.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +35,9 @@ from .extract import VariantPair
 from .vocab import TOKENIZATION_NOTE, FormalLexicon
 
 DEFAULT_CUTOFFS = (1, 5, 10, 20)
+# Queries per matrix product. A constant: it must not follow the thread count.
+BLOCK = 64
+_HASH_MULTIPLIER = np.int64(-0x61C8864680B583EB)  # 2**64 / golden ratio, odd
 
 
 @dataclass(frozen=True)
@@ -90,62 +95,71 @@ class EvalReport:
     no_scored_pairs: bool = False
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` with ``rows[first][inverse]`` equal to ``rows``: rows
+    grouped by a 64-bit hash of their bits, or by ``np.unique`` on a collision."""
+    bits = rows.view(f"i{rows.itemsize}").astype(np.int64)
+    keys = bits @ (np.arange(1, 2 * bits.shape[1], 2, dtype=np.int64) * _HASH_MULTIPLIER)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) < len(rows) and not np.array_equal(rows[first][inverse], rows):
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 class _Ranker:
-    """Shared candidate pool and batched cosine scores for one table."""
+    """The candidate pool of one table and lexicon, and the one ranking engine.
+
+    The pool (lexicon tokens with nonzero vectors, in token order) is built
+    once. ``search`` scores BLOCK queries per float64 matrix product as
+    ``(C·q) / (|C|·|q|)`` clipped to [-1, 1]. Each distinct row is scored
+    once and its score shared by every token holding it, so identical
+    vectors tie exactly and the tie breaks by token order, as in the oracle.
+    """
 
     def __init__(self, table: EmbeddingTable, lexicon: FormalLexicon):
         self.table = table
-        pool = sorted(
-            (token, i)
-            for i, token in enumerate(table.vocabulary)
-            if token in lexicon and not table.degenerate[i]
-        )
-        self.tokens: list[str] = [t for t, _ in pool]
-        rows = np.fromiter((i for _, i in pool), dtype=np.intp, count=len(pool))
-        self.candidates = table.matrix[rows].astype(np.float64)
-        self.norms = np.linalg.norm(self.candidates, axis=1)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
+        live = zip(table.vocabulary, table.degenerate.tolist())
+        self.tokens: list[str] = sorted(t for t, zero in live if not zero and t in lexicon)
+        candidates = table.matrix[[table.index[t] for t in self.tokens]]
+        first, self.inverse = _distinct_rows(candidates)
+        self.distinct = candidates[first].astype(np.float64)
+        self.norms = np.linalg.norm(self.distinct, axis=1)
 
     def position(self, token: str) -> int | None:
         p = bisect_left(self.tokens, token)
-        if p < len(self.tokens) and self.tokens[p] == token:
-            return p
-        return None
+        return p if self.tokens[p : p + 1] == [token] else None
 
-    def ordering(
-        self, informal: str, exclude_self: bool
-    ) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """Candidate tokens, similarities, and the tie-broken ordering.
-
-        The returned ``order`` indexes tokens/scores from best to worst.
-        Candidates are held in ascending token order, so a stable sort on
-        descending similarity realizes the tie-break exactly.
-        """
-        i = self.table.index.get(informal)
-        if i is None:
-            raise MissingTokenError(informal)
-        if self.table.degenerate[i]:
-            raise DegenerateVectorError(
-                f"informal token {informal!r} has a zero vector"
-            )
-        tokens = self.tokens
-        candidates = self.candidates
-        norms = self.norms
-        if exclude_self:
-            p = self.position(informal)
-            if p is not None:
-                tokens = tokens[:p] + tokens[p + 1 :]
-                candidates = np.delete(candidates, p, axis=0)
-                norms = np.delete(norms, p)
-        if not tokens:
-            raise ValueError("empty candidate set")
-        query = self.table.matrix[i].astype(np.float64)
-        scores = (candidates @ query) / (norms * np.linalg.norm(query))
-        scores = np.clip(scores, -1.0, 1.0)
-        order = np.argsort(-scores, kind="stable")
-        return tokens, scores, order
+    def search(
+        self, queries: list[tuple[str, str | None]], k: int, exclude_self: bool
+    ) -> Iterator[tuple[list[tuple[str, float]], int | None]]:
+        """``(top k, target rank)`` per ``(informal, target)``; the informal
+        vector is nonzero and the target a pool token other than it, or None.
+        Rank = 1 + #(higher scores) + #(equal scores at earlier tokens); the
+        top k are the scores at or above the k-th best, by (-score, token)."""
+        padded = np.zeros((BLOCK, self.distinct.shape[1]))
+        for start in range(0, len(queries), BLOCK):
+            block = queries[start : start + BLOCK]
+            b = len(block)
+            padded[:b] = self.table.matrix[[self.table.index[q] for q, _ in block]]
+            # BLAS rounds a dot product differently in another product shape;
+            # a fixed one keeps each query's scores independent of its block.
+            dots = (self.distinct @ padded.T)[:, :b]
+            cos = dots / np.multiply.outer(self.norms, np.linalg.norm(padded[:b], axis=1))
+            np.clip(cos, -1.0, 1.0, out=cos)
+            for (informal, target), s in zip(block, cos[self.inverse].T.copy()):
+                p = self.position(informal) if exclude_self else None
+                if p is not None:
+                    s[p] = -np.inf  # never in the top k: n counts finite scores
+                n = min(k, len(s) - (p is not None))
+                if n == 0:
+                    raise ValueError("empty candidate set")
+                top = np.flatnonzero(s >= np.partition(s, len(s) - n)[len(s) - n])
+                top = top[np.lexsort((top, -s[top]))][:n]
+                rank = None
+                if target is not None:
+                    t = self.position(target)
+                    rank = 1 + np.count_nonzero(s > s[t]) + np.count_nonzero(s[:t] == s[t])
+                yield [(self.tokens[j], float(s[j])) for j in top], rank
 
 
 def rank_formal_neighbors(
@@ -163,8 +177,13 @@ def rank_formal_neighbors(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    tokens, scores, order = _Ranker(table, lexicon).ordering(informal, exclude_self)
-    return [(tokens[j], float(scores[j])) for j in order[:k]]
+    ranker = _Ranker(table, lexicon)
+    i = table.index.get(informal)
+    if i is None:
+        raise MissingTokenError(informal)
+    if table.degenerate[i]:
+        raise DegenerateVectorError(f"informal token {informal!r} has a zero vector")
+    return next(ranker.search([(informal, None)], k, exclude_self))[0]
 
 
 def brute_force_rank(
@@ -197,7 +216,6 @@ def evaluate_pairs(
     pairs: list[VariantPair],
     lexicon: FormalLexicon,
     config: EvalConfig,
-    threads: int | None = None,
     lexicon_label: str = "",
     embedding_label: str = "",
 ) -> EvalReport:
@@ -212,49 +230,31 @@ def evaluate_pairs(
     if not table.normalized:
         raise ValueError("evaluate_pairs requires a normalized table")
     ranker = _Ranker(table, lexicon)
-
-    def score_one(pair: VariantPair) -> PairResult:
-        i = table.index.get(pair.informal)
+    results = []
+    for pair in pairs:
+        i, j = table.index.get(pair.informal), table.index.get(pair.formal)
+        status = PairStatus.SCORED
         if i is None or table.degenerate[i]:
-            return PairResult(pair, PairStatus.INFORMAL_MISSING)
-        j = table.index.get(pair.formal)
-        if j is None or table.degenerate[j] or pair.formal not in lexicon:
-            return PairResult(pair, PairStatus.FORMAL_MISSING)
-        tokens, scores, order = ranker.ordering(pair.informal, config.exclude_self)
-        inverse = np.empty(len(order), dtype=np.intp)
-        inverse[order] = np.arange(len(order))
-        p = bisect_left(tokens, pair.formal)  # present: formal survived exclusion
-        rank = int(inverse[p]) + 1
-        top = [(tokens[q], float(scores[q])) for q in order[: config.k]]
-        return PairResult(pair, PairStatus.SCORED, rank=rank, top_neighbors=top)
-
-    if threads is not None and threads > 1 and pairs:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(score_one, pairs))
-    else:
-        results = [score_one(p) for p in pairs]
-
+            status = PairStatus.INFORMAL_MISSING
+        elif j is None or table.degenerate[j] or pair.formal not in lexicon:
+            status = PairStatus.FORMAL_MISSING
+        results.append(PairResult(pair, status))
     scored = [r for r in results if r.status is PairStatus.SCORED]
-    missing_informal = sum(r.status is PairStatus.INFORMAL_MISSING for r in results)
-    missing_formal = sum(r.status is PairStatus.FORMAL_MISSING for r in results)
-    accuracy_at: dict[int, float] = {}
-    if scored:
-        for c in config.cutoffs:
-            accuracy_at[c] = sum(r.rank <= c for r in scored) / len(scored)
+    queries = [(r.pair.informal, r.pair.formal) for r in scored]
+    for r, (top, rank) in zip(scored, ranker.search(queries, config.k, config.exclude_self)):
+        r.top_neighbors, r.rank = top, rank
+    hits = {c: sum(r.rank <= c for r in scored) for c in config.cutoffs}
     return EvalReport(
         per_pair=results,
         scored_count=len(scored),
-        missing_informal=missing_informal,
-        missing_formal=missing_formal,
-        accuracy_at=accuracy_at,
+        missing_informal=sum(r.status is PairStatus.INFORMAL_MISSING for r in results),
+        missing_formal=sum(r.status is PairStatus.FORMAL_MISSING for r in results),
+        accuracy_at={c: n / len(scored) for c, n in hits.items()} if scored else {},
         config=config,
         lexicon_label=lexicon_label,
         embedding_label=embedding_label,
-        candidate_count=len(ranker),
-        metadata={
-            "lexicon_folding": "lowercase",
-            "corpus_tokenization": TOKENIZATION_NOTE,
-        },
+        candidate_count=len(ranker.tokens),
+        metadata={"lexicon_folding": "lowercase", "corpus_tokenization": TOKENIZATION_NOTE},
         no_scored_pairs=not scored,
     )
 

@@ -1,9 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import spellvar
+from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table
 from spellvar.cli import _parse_bool, _parse_cutoffs, load_config, main
+from spellvar.embeddings import write_embeddings
+from spellvar.extract import write_pairs
+from spellvar.vocab import write_lexicon
 
 DATA = Path(__file__).parent / "data"
 
@@ -176,7 +185,49 @@ class TestVocabCommands:
         assert "distinct tokens: 3 (total 5)" in out
 
 
+def write_blas_fixture(tmp_path, name):
+    """Evaluate inputs: the criterion 9 fixture, or a pool large enough for
+    BLAS to split its products across threads."""
+    if name == "criterion9":
+        vectors, raw_pairs = forced_rank_setup([1, 3, 9, 2], 25)
+        table = make_table(vectors)
+        lexicon = [f"w{j:03d}" for j in range(25)]
+    else:
+        rng = np.random.default_rng(9)
+        table = random_table(rng, 3000, 64)
+        lexicon = table.vocabulary[:2500]
+        raw_pairs = [(table.vocabulary[i], table.vocabulary[(i * 7) % 2500])
+                     for i in range(0, 3000, 15)]
+    write_embeddings(table, tmp_path / "emb.vec")
+    write_lexicon(lexicon_of(*lexicon), tmp_path / "lex.txt")
+    write_pairs(
+        [pair(i, f, entry_id=f"e{n}") for n, (i, f) in enumerate(raw_pairs) if i != f],
+        tmp_path / "pairs.tsv",
+    )
+
+
 class TestEvaluateCommand:
+    @pytest.mark.parametrize("fixture", ["criterion9", "large_pool"])
+    def test_blas_thread_count_does_not_change_outputs(self, tmp_path, fixture):
+        write_blas_fixture(tmp_path, fixture)
+        src = str(Path(spellvar.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run(
+                [sys.executable, "-c", "from spellvar.cli import entry_point; entry_point()",
+                 "evaluate", "--pairs", "pairs.tsv", "--lexicon", "lex.txt",
+                 "--embeddings", "emb.vec", "--report", "run.report"],
+                cwd=tmp_path, env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(
+                ((tmp_path / "run.report").read_bytes(), (tmp_path / "run.report.tsv").read_bytes())
+            )
+        assert outputs[0] == outputs[1]
+        assert b"\tscored\t" in outputs[0][1]
+
     def test_end_to_end(self, tmp_path, capsys):
         emb, lex, pairs, report = write_eval_inputs(tmp_path)
         code, out, _ = run(

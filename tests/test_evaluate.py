@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table
-from spellvar.embeddings import normalize
+from spellvar import evaluate
+from spellvar.embeddings import EmbeddingTable, normalize
 from spellvar.errors import DegenerateVectorError, MissingTokenError, ParseError
 from spellvar.evaluate import (
     DEFAULT_CUTOFFS,
@@ -100,6 +101,12 @@ class TestRankFormalNeighbors:
         table = make_table({"ur": [1.0, 0.0]})
         with pytest.raises(ValueError, match="empty candidate set"):
             rank_formal_neighbors(table, "ur", lexicon_of("ur"), k=1)
+
+    def test_empty_pool_without_self_exclusion(self):
+        table = make_table({"ur": [1.0, 0.0], "hole": [0.0, 0.0]})
+        for lex in (lexicon_of("ghost"), lexicon_of("hole")):
+            with pytest.raises(ValueError, match="empty candidate set"):
+                rank_formal_neighbors(table, "ur", lex, k=1, exclude_self=False)
 
     def test_exclude_self_semantics(self):
         table = make_table({"ur": [1.0, 0.0], "your": [0.9, 0.1]})
@@ -294,11 +301,32 @@ class TestEvaluatePairs:
         report = evaluate_pairs(table, pairs, lexicon_of("your", "babylon"), EvalConfig())
         assert [r.pair.entry_id for r in report.per_pair] == ["e1", "e2", "e3"]
 
-    def test_threads_do_not_change_results(self):
-        _, _, _, serial = eval_forced([1, 4, 2, 9, 25], 30)
-        _, _, _, threaded = eval_forced([1, 4, 2, 9, 25], 30, threads=4)
-        assert serial.per_pair == threaded.per_pair
-        assert serial.accuracy_at == threaded.accuracy_at
+    def test_block_boundaries_do_not_change_results(self):
+        # two full blocks plus a remainder; self-excluded, kept and unscored
+        # pairs interleaved across the block edges
+        rng = np.random.default_rng(11)
+        table = normalize(random_table(rng, 80, 5))
+        lex = lexicon_of(*table.vocabulary[:60])
+        pairs = []
+        for n in range(3 * evaluate.BLOCK):
+            informal = table.vocabulary[int(rng.integers(0, 80))]
+            formal = table.vocabulary[int(rng.integers(0, 60))]
+            if n % 9 == 4:
+                informal = "ghost"
+            if n % 11 == 5:
+                formal = table.vocabulary[70]  # outside the lexicon
+            if formal != informal:
+                pairs.append(pair(informal, formal, entry_id=f"e{n}"))
+        cfg = EvalConfig(k=7, cutoffs=(1, 5))
+        report = evaluate_pairs(table, pairs, lex, cfg)
+        statuses = {r.status for r in report.per_pair}
+        assert len(statuses) == 3
+        assert any(r.status is PairStatus.SCORED and r.pair.informal in lex
+                   for r in report.per_pair)
+        assert report.scored_count > 2 * evaluate.BLOCK
+        assert report.scored_count % evaluate.BLOCK
+        alone = [evaluate_pairs(table, [p], lex, cfg).per_pair[0] for p in pairs]
+        assert report.per_pair == alone
 
     def test_self_token_excluded_but_target_never(self):
         table = make_table(
@@ -320,6 +348,116 @@ class TestEvaluatePairs:
             table, [pair("ur", "your")], lexicon_of("your", "babylon", "ghost"), EvalConfig()
         )
         assert report.candidate_count == 2
+
+
+def duplicate_rows_instance(rng):
+    """A normalized table whose rows are drawn with replacement from a few
+    random vectors, so identical rows sit at different positions, and a
+    lexicon over about 70% of it."""
+    n = int(rng.integers(20, 301))
+    dim = int(rng.integers(2, 65))
+    base = rng.normal(size=(int(rng.integers(2, 9)), dim))
+    matrix = base[rng.integers(0, len(base), size=n)].astype(np.float32)
+    tokens = tuple(f"t{i:04d}" for i in range(n))
+    table = normalize(EmbeddingTable(dimension=dim, vocabulary=tokens, matrix=matrix))
+    keep = rng.random(n) < 0.7
+    keep[:2] = True
+    return table, lexicon_of(*(t for t, m in zip(tokens, keep) if m))
+
+
+def assert_duplicate_rows_match_oracle(rng, instances, queries=50):
+    for _ in range(instances):
+        table, lex = duplicate_rows_instance(rng)
+        pool = [t for t in table.vocabulary if t in lex]
+        exclude_self = bool(rng.integers(0, 2))
+        k = int(rng.integers(1, len(pool) + 3))
+        pairs = []
+        while len(pairs) < queries:
+            informal = table.vocabulary[int(rng.integers(0, len(table)))]
+            formal = pool[int(rng.integers(0, len(pool)))]
+            if informal != formal:
+                pairs.append(pair(informal, formal))
+        report = evaluate_pairs(
+            table, pairs, lex, EvalConfig(k=k, cutoffs=(1,), exclude_self=exclude_self)
+        )
+        for p, r in zip(pairs, report.per_pair):
+            oracle = brute_force_rank(table, p.informal, lex, exclude_self=exclude_self)
+            tokens = [t for t, _ in oracle]
+            assert r.rank == tokens.index(p.formal) + 1
+            assert [t for t, _ in r.top_neighbors] == tokens[:k]
+            for (_, a), (_, b) in zip(r.top_neighbors, oracle):
+                assert abs(a - b) <= 1e-12
+            fast = rank_formal_neighbors(table, p.informal, lex, k, exclude_self)
+            assert fast == r.top_neighbors
+
+
+class TestRankingEngineEdges:
+    def test_duplicate_vectors_match_oracle(self):
+        assert_duplicate_rows_match_oracle(np.random.default_rng(20231), instances=12)
+
+    def test_hash_collision_falls_back_to_exact_grouping(self, monkeypatch):
+        # a zero multiplier gives every row the same hash
+        monkeypatch.setattr(evaluate, "_HASH_MULTIPLIER", np.int64(0))
+        assert_duplicate_rows_match_oracle(np.random.default_rng(5), instances=2)
+
+    @pytest.mark.parametrize("multiplier", [evaluate._HASH_MULTIPLIER, np.int64(0)])
+    def test_identical_rows_are_scored_once(self, monkeypatch, multiplier):
+        monkeypatch.setattr(evaluate, "_HASH_MULTIPLIER", multiplier)
+        table, lex = duplicate_rows_instance(np.random.default_rng(8))
+        ranker = evaluate._Ranker(table, lex)
+        rows = table.matrix[[table.index[t] for t in ranker.tokens]]
+        assert len(ranker.distinct) == len(np.unique(rows, axis=0)) < len(rows)
+        assert np.array_equal(ranker.distinct[ranker.inverse], rows)
+
+    @pytest.mark.parametrize("k", [5, 6, 50])
+    def test_exclude_self_with_k_at_least_pool_size(self, k):
+        table = normalize(random_table(np.random.default_rng(3), 6, 3))
+        lex = lexicon_of(*table.vocabulary)
+        top = rank_formal_neighbors(table, "t0002", lex, k=k)
+        assert [t for t, _ in top] == [
+            t for t, _ in brute_force_rank(table, "t0002", lex)
+        ][:k]
+        assert len(top) == min(k, 5)
+        assert all(np.isfinite(s) for _, s in top)
+        report = evaluate_pairs(
+            table, [pair("t0002", "t0004")], lex, EvalConfig(k=k, cutoffs=(1,))
+        )
+        assert report.per_pair[0].top_neighbors == top
+
+    def test_scores_clipped_to_one_tie_by_token_order(self):
+        q = np.array([0.7, 0.3, 0.1], dtype=np.float32)
+        vectors = {"w7": 7 * q, "q": q, "w11": 11 * q, "w2": 2 * q, "far": [0, 0, 1]}
+        table = make_table({t: list(v) for t, v in vectors.items()})
+        a = q.astype(np.float64)
+        for m in (2, 7, 11):
+            b = (m * q).astype(np.float64)
+            assert np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)) > 1.0
+        lex = lexicon_of(*vectors)
+        top = rank_formal_neighbors(table, "q", lex, k=5, exclude_self=False)
+        assert top[:4] == [("q", 1.0), ("w11", 1.0), ("w2", 1.0), ("w7", 1.0)]
+        assert top == brute_force_rank(table, "q", lex, exclude_self=False)
+        unit = normalize(table)
+        report = evaluate_pairs(unit, [pair("q", "w2")], lex, EvalConfig(k=2, cutoffs=(1,)))
+        oracle = [t for t, _ in brute_force_rank(unit, "q", lex)]
+        assert report.per_pair[0].rank == oracle.index("w2") + 1 == 2  # q is excluded
+
+    def test_target_tied_with_earlier_and_later_tokens(self):
+        table = normalize(make_table(
+            {
+                "q": [1.0, 0.0],
+                "zeta": [0.6, 0.8],
+                "best": [0.9, 0.1],
+                "mid": [0.6, 0.8],
+                "alpha": [0.6, 0.8],
+                "low": [0.0, 1.0],
+            }
+        ))
+        lex = lexicon_of("zeta", "best", "mid", "alpha", "low")
+        oracle = [t for t, _ in brute_force_rank(table, "q", lex)]
+        assert oracle == ["best", "alpha", "mid", "zeta", "low"]
+        pairs = [pair("q", t) for t in ("alpha", "mid", "zeta")]
+        report = evaluate_pairs(table, pairs, lex, EvalConfig(cutoffs=(1,)))
+        assert [r.rank for r in report.per_pair] == [2, 3, 4]
 
 
 class TestReportRendering:
