@@ -25,7 +25,6 @@ from .evaluate import (
     PairResult,
     PairStatus,
     brute_force_rank,
-    diagnostics,
     evaluate_pairs,
     rank_formal_neighbors,
 )

@@ -1,17 +1,16 @@
 """Command-line pipeline: extract, build-vocab, count-freq, evaluate, report.
 
 Each stage is independently rerunnable. Flags override an optional flat
-``key = value`` config file whose keys mirror the flag names. Every run
-is deterministic: identical inputs give byte-identical output files
-(for ``extract`` at any ``--threads`` setting), and the thread count is
-deliberately kept out of report headers.
+``key = value`` config file whose keys mirror the flag names; a command
+ignores keys it has no flag for, so one file can drive every command.
+Every run is deterministic: identical inputs give byte-identical output
+files at any BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 from . import evaluate as ev
@@ -76,9 +75,6 @@ class Options:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
         return value
 
-    def threads(self) -> int:
-        return self.get("threads", default=os.cpu_count() or 1, conv=int)
-
 
 def cmd_extract(args: argparse.Namespace) -> int:
     opts = Options(args)
@@ -89,7 +85,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     entries = ex.read_definitions(defs_path)
     freq = vocab.load_frequencies(freq_path)
-    kept, stats = ex.mine_pairs(entries, freq, min_freq, threads=opts.threads())
+    kept, stats = ex.mine_pairs(entries, freq, min_freq)
 
     ex.write_pairs(kept, pairs_path)
     with open(pairs_path + ".stats", "w", encoding="utf-8", newline="\n") as f:
@@ -135,7 +131,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     embeddings_path = opts.get("embeddings", required=True)
     report_path = opts.get("report", required=True)
     fmt = opts.get("format", default="plain")
-    cutoffs = opts.get("cutoffs", default=ev.DEFAULT_CUTOFFS, conv=_parse_cutoffs)
+    cutoffs = ev.check_cutoffs(
+        opts.get("cutoffs", default=ev.DEFAULT_CUTOFFS, conv=_parse_cutoffs)
+    )
     exclude_self = not opts.get("no_exclude_self", default=False, conv=_parse_bool)
     config = ev.EvalConfig(k=max(cutoffs), cutoffs=cutoffs, exclude_self=exclude_self)
 
@@ -165,7 +163,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         f"missing_informal: {report.missing_informal}  "
         f"missing_formal: {report.missing_formal}"
     )
-    for line in ev.accuracy_summary(report.accuracy_at, report.scored_count):
+    for line in ev.accuracy_summary(report.hits_at, report.scored_count):
         print(line)
     return 0
 
@@ -173,13 +171,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     opts = Options(args)
     report_path = opts.get("report", required=True)
-    cutoffs = opts.get("cutoffs", default=ev.DEFAULT_CUTOFFS, conv=_parse_cutoffs)
+    cutoffs = ev.check_cutoffs(
+        opts.get("cutoffs", default=ev.DEFAULT_CUTOFFS, conv=_parse_cutoffs)
+    )
     worst = opts.get("worst", default=10, conv=int)
+    if worst < 1:
+        raise ValueError(f"--worst must be >= 1, got {worst}")
 
     rows = ev.load_report_rows(report_path)
-    scored_count, accuracy_at = ev.summarize_rows(rows, cutoffs)
+    scored_count, hits_at = ev.summarize_rows(rows, cutoffs)
     print(f"pairs: {len(rows)}  scored: {scored_count}")
-    for line in ev.accuracy_summary(accuracy_at, scored_count):
+    for line in ev.accuracy_summary(hits_at, scored_count):
         print(line)
     print(ev.diagnostics_rows(rows, worst), end="")
     return 0
@@ -187,7 +189,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--threads", type=int, help="worker threads (default: all cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:

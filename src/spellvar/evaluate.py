@@ -56,14 +56,17 @@ class EvalConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.cutoffs:
-            raise ValueError("cutoffs must be non-empty")
-        if any(c < 1 for c in self.cutoffs) or any(
-            a >= b for a, b in zip(self.cutoffs, self.cutoffs[1:])
-        ):
-            raise ValueError(
-                f"cutoffs must be strictly increasing positive integers: {self.cutoffs}"
-            )
+        check_cutoffs(self.cutoffs)
+
+
+def check_cutoffs(cutoffs: tuple[int, ...]) -> tuple[int, ...]:
+    """``cutoffs`` itself, if non-empty and strictly increasing positive
+    integers; ValueError otherwise."""
+    if not cutoffs:
+        raise ValueError("cutoffs must be non-empty")
+    if any(c < 1 for c in cutoffs) or any(a >= b for a, b in zip(cutoffs, cutoffs[1:])):
+        raise ValueError(f"cutoffs must be strictly increasing positive integers: {cutoffs}")
+    return cutoffs
 
 
 class PairStatus(enum.Enum):
@@ -86,13 +89,20 @@ class EvalReport:
     scored_count: int
     missing_informal: int
     missing_formal: int
-    accuracy_at: dict[int, float]
+    hits_at: dict[int, int]  # cutoff -> scored pairs ranked within it; {} if none
     config: EvalConfig
     lexicon_label: str = ""
     embedding_label: str = ""
     candidate_count: int = 0
     metadata: dict[str, str] = field(default_factory=dict)
-    no_scored_pairs: bool = False
+
+    @property
+    def accuracy_at(self) -> dict[int, float]:
+        return {c: h / self.scored_count for c, h in self.hits_at.items()}
+
+    @property
+    def no_scored_pairs(self) -> bool:
+        return self.scored_count == 0
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,36 +253,26 @@ def evaluate_pairs(
     queries = [(r.pair.informal, r.pair.formal) for r in scored]
     for r, (top, rank) in zip(scored, ranker.search(queries, config.k, config.exclude_self)):
         r.top_neighbors, r.rank = top, rank
-    hits = {c: sum(r.rank <= c for r in scored) for c in config.cutoffs}
+    scored_count, hits_at = summarize_rows(results, config.cutoffs)
     return EvalReport(
         per_pair=results,
-        scored_count=len(scored),
+        scored_count=scored_count,
         missing_informal=sum(r.status is PairStatus.INFORMAL_MISSING for r in results),
         missing_formal=sum(r.status is PairStatus.FORMAL_MISSING for r in results),
-        accuracy_at={c: n / len(scored) for c, n in hits.items()} if scored else {},
+        hits_at=hits_at,
         config=config,
         lexicon_label=lexicon_label,
         embedding_label=embedding_label,
         candidate_count=len(ranker.tokens),
         metadata={"lexicon_folding": "lowercase", "corpus_tokenization": TOKENIZATION_NOTE},
-        no_scored_pairs=not scored,
     )
 
 
-def diagnostics(report: EvalReport, n_worst: int) -> str:
-    """The worst-ranked scored pairs, each with its nearest formal tokens.
-
-    Pairs are listed by descending rank; ties keep input order.
-    """
-    rows = [
-        ReportRow(r.pair.informal, r.pair.formal, r.status, r.rank, r.top_neighbors)
-        for r in report.per_pair
-    ]
-    return diagnostics_rows(rows, n_worst)
-
-
 def diagnostics_rows(rows: list["ReportRow"], n_worst: int) -> str:
-    """Row-level form of ``diagnostics``, usable on a reloaded report."""
+    """The worst-ranked scored report rows, each with its nearest formal tokens.
+
+    Rows are listed by descending rank; ties keep input order.
+    """
     if n_worst < 1:
         raise ValueError(f"n_worst must be >= 1, got {n_worst}")
     scored = [(i, r) for i, r in enumerate(rows) if r.status is PairStatus.SCORED]
@@ -292,16 +292,13 @@ def diagnostics_rows(rows: list["ReportRow"], n_worst: int) -> str:
 
 
 def accuracy_summary(
-    accuracy_at: dict[int, float], scored_count: int, precision: int = 3
+    hits_at: dict[int, int], scored_count: int, precision: int = 3
 ) -> list[str]:
     """``accuracy@c = 0.xxx (n/m)`` lines, one per cutoff."""
-    lines = []
-    for c in sorted(accuracy_at):
-        hits = round(accuracy_at[c] * scored_count)
-        lines.append(
-            f"accuracy@{c} = {accuracy_at[c]:.{precision}f} ({hits}/{scored_count})"
-        )
-    return lines
+    return [
+        f"accuracy@{c} = {h / scored_count:.{precision}f} ({h}/{scored_count})"
+        for c, h in sorted(hits_at.items())
+    ]
 
 
 def _result_row(r: PairResult) -> str:
@@ -331,11 +328,9 @@ def render_report_text(report: EvalReport) -> str:
     ]
     if report.no_scored_pairs:
         lines.append("warning: no scored pairs, accuracy undefined")
-    for c in sorted(report.accuracy_at):
-        hits = round(report.accuracy_at[c] * report.scored_count)
-        lines.append(
-            f"accuracy@{c}: {report.accuracy_at[c]:.6f} ({hits}/{report.scored_count})"
-        )
+    n = report.scored_count
+    for c, h in sorted(report.hits_at.items()):
+        lines.append(f"accuracy@{c}: {h / n:.6f} ({h}/{n})")
     lines.append("")
     lines.append("informal\tformal\tstatus\trank\ttop_neighbors")
     lines += [_result_row(r) for r in report.per_pair]
@@ -416,12 +411,12 @@ def load_report_rows(source) -> list[ReportRow]:
 
 
 def summarize_rows(
-    rows: Iterable[ReportRow], cutoffs: Iterable[int]
-) -> tuple[int, dict[int, float]]:
-    """Recompute (scored_count, accuracy_at) from saved report rows."""
+    rows: Iterable[PairResult | ReportRow], cutoffs: Iterable[int]
+) -> tuple[int, dict[int, int]]:
+    """``(scored_count, hits_at)`` from pair results or reloaded report rows:
+    ``hits_at[c]`` counts the scored rows ranked c or better, and is empty
+    when no row was scored."""
     ranks = [r.rank for r in rows if r.status is PairStatus.SCORED]
     if not ranks:
         return 0, {}
-    return len(ranks), {
-        c: sum(rank <= c for rank in ranks) / len(ranks) for c in cutoffs
-    }
+    return len(ranks), {c: sum(rank <= c for rank in ranks) for c in cutoffs}

@@ -7,8 +7,8 @@ bracketed single word. Candidates then pass a cascade that drops
 non-ASCII headwords, definitions containing the word "name", and
 headwords too rare in an informal-corpus frequency table.
 
-Extraction is deterministic; the pipeline orders its output by entry id
-so parallel execution cannot reorder the pairs file.
+Extraction is deterministic: the pipeline orders its output by entry id,
+whatever the order of the dump.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -189,12 +188,10 @@ def mine_pairs(
     entries: Iterable[DefinitionEntry],
     freq: FrequencyTable,
     min_freq: int,
-    threads: int | None = None,
 ) -> tuple[list[VariantPair], ExtractionStats]:
     """Full pipeline: scan, extract, order by entry id, filter.
 
-    ``threads`` > 1 extracts candidates in a thread pool; the entry-id
-    ordering makes the output identical either way.
+    The kept pairs come out ordered by entry id, not by dump order.
     """
     entries = list(entries)
     by_id: dict[str, DefinitionEntry] = {}
@@ -203,11 +200,7 @@ def mine_pairs(
             raise ValueError(f"duplicate entry id in dump: {entry.entry_id!r}")
         by_id[entry.entry_id] = entry
     hits = list(find_spelling_definitions(entries))
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            extracted = list(pool.map(extract_candidate, hits))
-    else:
-        extracted = [extract_candidate(e) for e in hits]
+    extracted = (extract_candidate(e) for e in hits)
     candidates = sorted(
         (p for p in extracted if p is not None), key=lambda p: p.entry_id
     )

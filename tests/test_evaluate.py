@@ -16,7 +16,6 @@ from spellvar.evaluate import (
     ReportRow,
     accuracy_summary,
     brute_force_rank,
-    diagnostics,
     diagnostics_rows,
     evaluate_pairs,
     load_report_rows,
@@ -521,9 +520,30 @@ class TestReportRendering:
     def test_summarize_rows_matches_report(self):
         report = self.report()
         rows = load_report_rows(render_report_tsv(report).encode())
-        scored, accuracy = summarize_rows(rows, report.config.cutoffs)
+        scored, hits = summarize_rows(rows, report.config.cutoffs)
         assert scored == report.scored_count
-        assert accuracy == report.accuracy_at
+        assert hits == report.hits_at
+        assert {c: h / scored for c, h in hits.items()} == report.accuracy_at
+
+        # 70/620 and 146/620 have no exact binary form; the report header,
+        # the stdout summary and the reloaded rows must still show the hit
+        # counts evaluate_pairs found.
+        angles = {f"f{j:02d}": 0.05 * (j + 1) for j in range(21)}  # f00 nearest q
+        formal = {t: [np.cos(a), np.sin(a)] for t, a in angles.items()}
+        table = normalize(make_table({"q": [1.0, 0.0], **formal}))
+        targets = ["f00"] * 70 + [f"f{1 + i % 19:02d}" for i in range(76)] + ["f20"] * 474
+        pairs = [pair("q", t, entry_id=f"e{n}") for n, t in enumerate(targets)]
+        report = evaluate_pairs(table, pairs, lexicon_of(*formal), EvalConfig(cutoffs=(1, 20)))
+        assert report.hits_at == {1: 70, 20: 146}
+
+        header = [l for l in render_report_text(report).splitlines() if l.startswith("accuracy@")]
+        assert header == ["accuracy@1: 0.112903 (70/620)", "accuracy@20: 0.235484 (146/620)"]
+        summary = accuracy_summary(report.hits_at, report.scored_count)
+        assert summary == ["accuracy@1 = 0.113 (70/620)", "accuracy@20 = 0.235 (146/620)"]
+        rows = load_report_rows(render_report_tsv(report).encode())
+        scored, hits = summarize_rows(rows, (1, 20))
+        assert (scored, hits) == (620, report.hits_at)
+        assert accuracy_summary(hits, scored) == summary
 
     def test_summarize_rows_empty(self):
         assert summarize_rows([], (1, 5)) == (0, {})
@@ -568,14 +588,14 @@ class TestLoadReportRows:
 
 class TestAccuracySummary:
     def test_fraction_rendering(self):
-        lines = accuracy_summary({1: 70 / 620, 20: 146 / 620}, 620)
+        lines = accuracy_summary({1: 70, 20: 146}, 620)
         assert lines == [
             "accuracy@1 = 0.113 (70/620)",
             "accuracy@20 = 0.235 (146/620)",
         ]
 
     def test_precision_configurable(self):
-        assert accuracy_summary({1: 0.5}, 2, precision=6) == [
+        assert accuracy_summary({1: 1}, 2, precision=6) == [
             "accuracy@1 = 0.500000 (1/2)"
         ]
 
@@ -629,8 +649,9 @@ class TestDiagnostics:
         with pytest.raises(ValueError):
             diagnostics_rows([], n_worst=0)
 
-    def test_report_level_wrapper(self):
+    def test_rows_of_an_evaluated_report(self):
         _, _, _, report = eval_forced([6, 2], 9, cutoffs=(1,), k=5)
-        text = diagnostics(report, n_worst=1)
+        rows = load_report_rows(render_report_tsv(report).encode())
+        text = diagnostics_rows(rows, n_worst=1)
         assert "inf0 -> w000" in text
         assert "rank      6" in text

@@ -280,12 +280,6 @@ class TestMinePairs:
         assert stats.definitions_scanned == 3
         assert stats.spelling_hits == 3
 
-    def test_threads_do_not_change_output(self):
-        serial, s_stats = mine_pairs(self.entries(), self.FREQ, 100)
-        threaded, t_stats = mine_pairs(self.entries(), self.FREQ, 100, threads=4)
-        assert threaded == serial
-        assert t_stats == s_stats
-
     def test_duplicate_entry_id_rejected(self):
         dupes = [
             entry("text one here", entry_id="e1"),
