@@ -1,50 +1,61 @@
-"""Internal helpers for path-or-stream arguments.
+"""File access for the package: the one place that opens files, and the
+tab-separated record codec.
 
-Every loader accepts a filesystem path, raw bytes, or an already-open
-file object; writers accept a path or an open file object. Only paths are
-opened (and closed) here. Binary streams handed to the text helpers are
-wrapped in a UTF-8 view that is detached on exit so the caller's stream
-stays open.
+Opening. Every loader accepts a filesystem path, raw bytes, or an
+already-open file object; writers accept a path or an open file object.
+Only paths are opened (and closed) here. Text is UTF-8 with
+``surrogateescape``: a byte that is not UTF-8 reads as a lone surrogate and
+is written back as the same byte. A path is written through a sibling
+temporary file that replaces it only once the whole output is written, so a
+failed write leaves the old file as it was. Binary streams handed to the
+text helpers get a UTF-8 view that is detached on exit, so the caller's
+stream stays open.
+
+Records. A record is one line of tab-separated fields. In every field a
+backslash, tab, line feed and carriage return are written ``\\\\``, ``\\t``,
+``\\n`` and ``\\r``; a backslash before any other character reads as
+itself. A list nested in one field (``join_items``) is comma-separated, and
+a backslash or comma inside an item is written ``\\\\`` or ``\\c`` before
+the field itself is escaped.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import re
+import stat
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
+
+from .errors import ParseError
+
+UTF8 = {"encoding": "utf-8", "errors": "surrogateescape"}  # the one text encoding rule
+_BACKSLASH_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
-@contextmanager
-def text_reader(source):
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            yield f
-    elif isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"))
-    elif not isinstance(source, io.TextIOBase) and hasattr(source, "readable"):
-        wrapper = io.TextIOWrapper(source, encoding="utf-8")
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()
-    else:
-        yield source
+def _escaper(letters: dict[str, str]):
+    """``(escape, unescape)`` writing each key of ``letters`` as a backslash
+    and its letter."""
+    table = str.maketrans({c: "\\" + e for c, e in letters.items()})
+    back = {e: c for c, e in letters.items()}
+
+    def unescape(text: str) -> str:
+        return _BACKSLASH_RE.sub(lambda m: back.get(m[1], m[0]), text)
+
+    return (lambda text: text.translate(table)), unescape
 
 
-@contextmanager
-def text_writer(sink):
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as f:
-            yield f
-    elif not isinstance(sink, io.TextIOBase) and hasattr(sink, "writable"):
-        wrapper = io.TextIOWrapper(sink, encoding="utf-8", newline="\n")
-        try:
-            yield wrapper
-            wrapper.flush()
-        finally:
-            wrapper.detach()
-    else:
-        yield sink
+_escape, _unescape = _escaper({"\\": "\\", "\t": "t", "\n": "n", "\r": "r"})
+_escape_item, _unescape_item = _escaper({"\\": "\\", ",": "c"})
+
+
+def _is_text(stream) -> bool:
+    """An open text stream, or any other object not a path, bytes or binary stream."""
+    if isinstance(stream, (str, Path, bytes)):
+        return False
+    return isinstance(stream, io.TextIOBase) or not hasattr(stream, "readable")
 
 
 @contextmanager
@@ -52,16 +63,101 @@ def binary_reader(source):
     if isinstance(source, (str, Path)):
         with open(source, "rb") as f:
             yield f
-    elif isinstance(source, bytes):
-        yield io.BytesIO(source)
     else:
-        yield source
+        yield io.BytesIO(source) if isinstance(source, bytes) else source
 
 
 @contextmanager
 def binary_writer(sink):
-    if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as f:
-            yield f
-    else:
+    """A path is written in place only when it exists and is not a regular
+    file (a device or a pipe, which cannot be replaced). A replaced file
+    keeps its permission bits."""
+    if not isinstance(sink, (str, Path)):
         yield sink
+        return
+    path = os.path.realpath(sink)
+    old = os.stat(path) if os.path.exists(path) else None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "wb") as f:
+            yield f
+        return
+    temp = f"{path}.{os.getpid()}.tmp"
+    f = open(temp, "xb")
+    try:
+        if old is not None:
+            os.chmod(temp, stat.S_IMODE(old.st_mode))
+        with f:
+            yield f
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
+@contextmanager
+def _text(target, binary, newline=None):
+    """``target`` as a text stream: as it is if it is one, else a UTF-8 view
+    of what ``binary`` opens, detached on exit so that stream stays open."""
+    if _is_text(target):
+        yield target
+        return
+    with binary(target) as raw:
+        stream = io.TextIOWrapper(raw, newline=newline, **UTF8)
+        try:
+            yield stream
+        finally:
+            stream.detach()  # flushes
+
+
+def text_reader(source):
+    return _text(source, binary_reader)
+
+
+def write_text(sink, text: str) -> None:
+    with _text(sink, binary_writer, newline="\n") as stream:
+        stream.write(text)
+
+
+def format_record(fields: Sequence[str]) -> str:
+    """One line: the fields, escaped, tab-joined, and a newline."""
+    line = "\t".join(fields)
+    if line.count("\t") >= len(fields) or "\\" in line or "\n" in line or "\r" in line:
+        line = "\t".join([_escape(f) for f in fields])
+    return line + "\n"
+
+
+def write_records(sink, records: Iterable[Sequence[str]]) -> None:
+    with _text(sink, binary_writer, newline="\n") as stream:
+        stream.writelines(map(format_record, records))
+
+
+def read_records(source, width: int) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` per non-blank line, each line exactly
+    ``width`` fields (ParseError otherwise), every field unescaped."""
+    with text_reader(source) as stream:
+        for lineno, line in enumerate(stream, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise ParseError(
+                    f"expected {width} tab-separated fields, found {len(fields)}",
+                    line=lineno,
+                )
+            if "\\" in line:
+                fields = [_unescape(f) if "\\" in f else f for f in fields]
+            yield lineno, fields
+
+
+def join_items(items: Sequence[str]) -> str:
+    """A comma-separated list for one field; ``split_items`` reads it back."""
+    text = ",".join(items)
+    if text.count(",") >= len(items) or "\\" in text:
+        text = ",".join(map(_escape_item, items))
+    return text
+
+
+def split_items(text: str) -> list[str]:
+    items = text.split(",") if text else []
+    return [_unescape_item(item) for item in items] if "\\" in text else items

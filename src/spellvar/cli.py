@@ -16,6 +16,7 @@ import sys
 from . import evaluate as ev
 from . import extract as ex
 from . import vocab
+from ._fileio import text_reader, write_text
 from .embeddings import load_embeddings, normalize
 from .errors import SpellvarError
 
@@ -27,10 +28,9 @@ DEFAULT_MIN_COUNT = 1
 
 def _parse_cutoffs(text: str) -> tuple[int, ...]:
     try:
-        cutoffs = tuple(int(c) for c in text.split(",") if c)
+        return tuple(int(c) for c in text.split(",") if c)
     except ValueError:
         raise ValueError(f"cutoffs must be integers: {text!r}") from None
-    return cutoffs
 
 
 def _parse_bool(text: str) -> bool:
@@ -45,7 +45,7 @@ def _parse_bool(text: str) -> bool:
 def load_config(path: str) -> dict[str, str]:
     """Parse a flat ``key = value`` file; '#' starts a comment."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as stream:
+    with text_reader(path) as stream:
         for lineno, line in enumerate(stream, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -66,9 +66,10 @@ class Options:
 
     def get(self, name, default=None, conv=None, required=False):
         value = getattr(self._args, name, None)
-        if value is None and name in self._config:
-            raw = self._config[name]
-            value = conv(raw) if conv else raw
+        if value is None:
+            value = self._config.get(name)
+        if conv and isinstance(value, str):
+            value = conv(value)
         if value is None:
             value = default
         if value is None and required:
@@ -88,10 +89,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     kept, stats = ex.mine_pairs(entries, freq, min_freq)
 
     ex.write_pairs(kept, pairs_path)
-    with open(pairs_path + ".stats", "w", encoding="utf-8", newline="\n") as f:
-        f.write(stats.as_text())
-    with open(pairs_path + ".stats.json", "w", encoding="utf-8", newline="\n") as f:
-        f.write(stats.as_json())
+    write_text(pairs_path + ".stats", stats.as_text())
+    write_text(pairs_path + ".stats.json", stats.as_json())
     print(stats.as_text(), end="")
     print(f"pairs kept: {len(kept)} -> {pairs_path}")
     return 0
@@ -103,7 +102,7 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
     lexicon_path = opts.get("lexicon", required=True)
     min_count = opts.get("min_count", default=DEFAULT_MIN_COUNT, conv=int)
 
-    with open(corpus_path, "r", encoding="utf-8") as stream:
+    with text_reader(corpus_path) as stream:
         tokens = (t for line in stream for t in vocab.tokenize(line))
         lexicon = vocab.build_lexicon(tokens, min_count, source_label=corpus_path)
     vocab.write_lexicon(lexicon, lexicon_path)
@@ -116,7 +115,7 @@ def cmd_count_freq(args: argparse.Namespace) -> int:
     corpus_path = opts.get("corpus", required=True)
     freq_path = opts.get("freq", required=True)
 
-    with open(corpus_path, "r", encoding="utf-8") as stream:
+    with text_reader(corpus_path) as stream:
         tokens = (t for line in stream for t in vocab.tokenize(line))
         table = vocab.count_frequencies(tokens)
     vocab.write_frequencies(table, freq_path)
@@ -187,10 +186,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spellvar",
@@ -207,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-freq", type=int, dest="min_freq",
                    help=f"drop headwords rarer than this (default {DEFAULT_MIN_FREQ})")
     p.add_argument("--pairs", help="output pairs file")
-    _add_common(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("build-vocab", help="build a formal lexicon from a corpus")
@@ -215,13 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=int, dest="min_count",
                    help=f"minimum occurrences (default {DEFAULT_MIN_COUNT})")
     p.add_argument("--lexicon", help="output lexicon file, one token per line")
-    _add_common(p)
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("count-freq", help="count token frequencies in a corpus")
     p.add_argument("--corpus", help="plain-text corpus file")
     p.add_argument("--freq", help="output token TAB count file")
-    _add_common(p)
     p.set_defaults(func=cmd_count_freq)
 
     p = sub.add_parser("evaluate", help="rank formal neighbors for each pair")
@@ -230,23 +222,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="embedding text file")
     p.add_argument("--format", choices=("plain", "headered"),
                    help="embedding file layout (default plain)")
-    p.add_argument("--cutoffs", type=_parse_cutoffs,
-                   help="accuracy cutoffs, comma-separated (default 1,5,10,20)")
+    p.add_argument("--cutoffs", help="accuracy cutoffs, comma-separated (default 1,5,10,20)")
     p.add_argument("--no-exclude-self", action="store_true", default=None,
                    dest="no_exclude_self",
                    help="let the informal token rank as its own neighbor")
     p.add_argument("--report", help="output report path (text; .tsv added for machine form)")
-    _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="re-summarize a saved machine-readable report")
     p.add_argument("--report", help="machine-readable report (.tsv) path")
-    p.add_argument("--cutoffs", type=_parse_cutoffs,
-                   help="accuracy cutoffs, comma-separated (default 1,5,10,20)")
+    p.add_argument("--cutoffs", help="accuracy cutoffs, comma-separated (default 1,5,10,20)")
     p.add_argument("--worst", type=int, help="how many worst pairs to list (default 10)")
-    _add_common(p)
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="flat key = value config file")
     return parser
 
 

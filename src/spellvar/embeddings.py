@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._fileio import binary_reader, binary_writer
+from ._fileio import UTF8, binary_reader, binary_writer
 from .errors import DegenerateVectorError, ParseError
 
 log = logging.getLogger(__name__)
@@ -75,14 +75,6 @@ class EmbeddingTable:
         return token in self.index
 
 
-def _decode_token(raw: bytes) -> str:
-    return raw.decode("utf-8", "surrogateescape")
-
-
-def _encode_token(token: str) -> bytes:
-    return token.encode("utf-8", "surrogateescape")
-
-
 def _parse_row(fields: list[bytes], dimension: int, lineno: int) -> np.ndarray:
     if len(fields) != dimension:
         raise ParseError(
@@ -135,7 +127,7 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
         if not line:
             continue
         fields = line.split(b" ")
-        token = _decode_token(fields[0])
+        token = fields[0].decode(**UTF8)
         if dimension is None:
             dimension = len(fields) - 1
             if dimension < 1:
@@ -179,7 +171,7 @@ def write_embeddings(table: EmbeddingTable, sink, format: str = "plain") -> None
             stream.write(f"{len(table)} {table.dimension}\n".encode("ascii"))
         for token, row in zip(table.vocabulary, table.matrix):
             values = b" ".join(repr(float(v)).encode("ascii") for v in row)
-            stream.write(_encode_token(token) + b" " + values + b"\n")
+            stream.write(token.encode(**UTF8) + b" " + values + b"\n")
 
 
 def normalize(table: EmbeddingTable) -> EmbeddingTable:

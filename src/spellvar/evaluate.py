@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._fileio import text_reader, text_writer
+from ._fileio import format_record, join_items, read_records, split_items, write_text
 from .embeddings import EmbeddingTable, cosine
 from .errors import DegenerateVectorError, MissingTokenError, ParseError
 from .extract import VariantPair
@@ -301,10 +301,10 @@ def accuracy_summary(
     ]
 
 
-def _result_row(r: PairResult) -> str:
+def _result_fields(r: PairResult) -> tuple[str, ...]:
     rank = "-" if r.rank is None else str(r.rank)
-    neighbors = ",".join(f"{t}:{s:.6f}" for t, s in r.top_neighbors)
-    return f"{r.pair.informal}\t{r.pair.formal}\t{r.status.value}\t{rank}\t{neighbors}"
+    neighbors = join_items([f"{t}:{s:.6f}" for t, s in r.top_neighbors])
+    return r.pair.informal, r.pair.formal, r.status.value, rank, neighbors
 
 
 def render_report_text(report: EvalReport) -> str:
@@ -333,20 +333,19 @@ def render_report_text(report: EvalReport) -> str:
         lines.append(f"accuracy@{c}: {h / n:.6f} ({h}/{n})")
     lines.append("")
     lines.append("informal\tformal\tstatus\trank\ttop_neighbors")
-    lines += [_result_row(r) for r in report.per_pair]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + render_report_tsv(report)
 
 
 def render_report_tsv(report: EvalReport) -> str:
     """Machine form: informal TAB formal TAB status TAB rank TAB neighbors."""
-    return "".join(_result_row(r) + "\n" for r in report.per_pair)
+    return "".join(format_record(_result_fields(r)) for r in report.per_pair)
 
 
 def write_report(report: EvalReport, text_sink, tsv_sink) -> None:
-    with text_writer(text_sink) as stream:
-        stream.write(render_report_text(report))
-    with text_writer(tsv_sink) as stream:
-        stream.write(render_report_tsv(report))
+    """Render both forms before opening either sink."""
+    text, tsv = render_report_text(report), render_report_tsv(report)
+    write_text(text_sink, text)
+    write_text(tsv_sink, tsv)
 
 
 @dataclass
@@ -363,50 +362,31 @@ class ReportRow:
 def load_report_rows(source) -> list[ReportRow]:
     """Parse the machine-readable report back into rows."""
     rows: list[ReportRow] = []
-    with text_reader(source) as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ParseError(
-                    f"expected 5 tab-separated fields, found {len(fields)}",
-                    line=lineno,
-                )
-            informal, formal, status_text, rank_text, neighbor_text = fields
+    for lineno, fields in read_records(source, 5):
+        informal, formal, status_text, rank_text, neighbor_text = fields
+        try:
+            status = PairStatus(status_text)
+        except ValueError:
+            raise ParseError(f"unknown status {status_text!r}", line=lineno) from None
+        if rank_text == "-":
+            rank = None
+        else:
             try:
-                status = PairStatus(status_text)
+                rank = int(rank_text)
             except ValueError:
-                raise ParseError(
-                    f"unknown status {status_text!r}", line=lineno
-                ) from None
-            if rank_text == "-":
-                rank = None
-            else:
-                try:
-                    rank = int(rank_text)
-                except ValueError:
-                    raise ParseError(
-                        f"non-integer rank {rank_text!r}", line=lineno
-                    ) from None
-                if rank < 1:
-                    raise ParseError(f"rank must be >= 1, got {rank}", line=lineno)
-            if (rank is None) == (status is PairStatus.SCORED):
-                raise ParseError(
-                    "rank must be present exactly for scored rows", line=lineno
-                )
-            neighbors: list[tuple[str, float]] = []
-            if neighbor_text:
-                for item in neighbor_text.split(","):
-                    token, _, sim_text = item.rpartition(":")
-                    try:
-                        neighbors.append((token, float(sim_text)))
-                    except ValueError:
-                        raise ParseError(
-                            f"malformed neighbor {item!r}", line=lineno
-                        ) from None
-            rows.append(ReportRow(informal, formal, status, rank, neighbors))
+                raise ParseError(f"non-integer rank {rank_text!r}", line=lineno) from None
+            if rank < 1:
+                raise ParseError(f"rank must be >= 1, got {rank}", line=lineno)
+        if (rank is None) == (status is PairStatus.SCORED):
+            raise ParseError("rank must be present exactly for scored rows", line=lineno)
+        neighbors: list[tuple[str, float]] = []
+        for item in split_items(neighbor_text):
+            token, _, sim_text = item.rpartition(":")
+            try:
+                neighbors.append((token, float(sim_text)))
+            except ValueError:
+                raise ParseError(f"malformed neighbor {item!r}", line=lineno) from None
+        rows.append(ReportRow(informal, formal, status, rank, neighbors))
     return rows
 
 

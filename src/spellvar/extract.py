@@ -16,11 +16,10 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Mapping
 
-from ._fileio import text_reader, text_writer
+from ._fileio import read_records, write_records
 from .errors import ParseError
 from .vocab import FrequencyTable
 
@@ -216,100 +215,53 @@ def mine_pairs(
 
 # --- file formats ---------------------------------------------------------
 #
-# definitions dump: entry_id TAB headword TAB definition_text, one record
-# per line. Newlines in the definition are escaped as \n; tabs and
-# backslashes are escaped too so a record is always exactly three fields.
+# Both files are records of the _fileio codec, one per line, every field
+# escaped, so a definition may hold any text.
+#
+# definitions dump: entry_id TAB headword TAB definition_text.
 #
 # pairs file: informal TAB formal TAB entry_id TAB delimiter TAB validation.
-
-_UNESCAPE_RE = re.compile(r"\\(.)")
-_UNESCAPE_MAP = {"n": "\n", "t": "\t", "\\": "\\"}
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
-    )
-
-
-def _unescape(text: str) -> str:
-    return _UNESCAPE_RE.sub(
-        lambda m: _UNESCAPE_MAP.get(m.group(1), "\\" + m.group(1)), text
-    )
 
 
 def read_definitions(source) -> list[DefinitionEntry]:
     """Read a definitions dump. An empty file is an empty dump."""
     entries: list[DefinitionEntry] = []
     seen: set[str] = set()
-    with text_reader(source) as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, found {len(fields)}",
-                    line=lineno,
-                )
-            entry_id, headword, definition = fields
-            if entry_id in seen:
-                raise ParseError(f"duplicate entry id {entry_id!r}", line=lineno)
-            if not definition:
-                raise ParseError(f"empty definition for {entry_id!r}", line=lineno)
-            seen.add(entry_id)
-            entries.append(
-                DefinitionEntry(
-                    entry_id=entry_id,
-                    headword=headword,
-                    definition_text=_unescape(definition),
-                )
-            )
+    for lineno, (entry_id, headword, definition) in read_records(source, 3):
+        if entry_id in seen:
+            raise ParseError(f"duplicate entry id {entry_id!r}", line=lineno)
+        if not definition:
+            raise ParseError(f"empty definition for {entry_id!r}", line=lineno)
+        seen.add(entry_id)
+        entries.append(DefinitionEntry(entry_id, headword, definition))
     return entries
 
 
 def write_definitions(entries: Iterable[DefinitionEntry], sink) -> None:
-    with text_writer(sink) as stream:
-        for e in entries:
-            stream.write(
-                f"{e.entry_id}\t{e.headword}\t{_escape(e.definition_text)}\n"
-            )
+    write_records(sink, ((e.entry_id, e.headword, e.definition_text) for e in entries))
 
 
 def write_pairs(pairs: Iterable[VariantPair], sink) -> None:
-    with text_writer(sink) as stream:
-        for p in pairs:
-            stream.write(
-                f"{p.informal}\t{p.formal}\t{p.entry_id}"
-                f"\t{p.delimiter.value}\t{p.validation.value}\n"
-            )
+    write_records(sink, (
+        (p.informal, p.formal, p.entry_id, p.delimiter.value, p.validation.value)
+        for p in pairs
+    ))
 
 
 def read_pairs(source) -> list[VariantPair]:
     pairs: list[VariantPair] = []
-    with text_reader(source) as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ParseError(
-                    f"expected 5 tab-separated fields, found {len(fields)}",
-                    line=lineno,
+    for lineno, fields in read_records(source, 5):
+        informal, formal, entry_id, delimiter, validation = fields
+        try:
+            pairs.append(
+                VariantPair(
+                    informal=informal,
+                    formal=formal,
+                    entry_id=entry_id,
+                    delimiter=Delimiter(delimiter),
+                    validation=Validation(validation),
                 )
-            informal, formal, entry_id, delimiter, validation = fields
-            try:
-                pairs.append(
-                    VariantPair(
-                        informal=informal,
-                        formal=formal,
-                        entry_id=entry_id,
-                        delimiter=Delimiter(delimiter),
-                        validation=Validation(validation),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     return pairs

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ._fileio import text_reader, text_writer
+from ._fileio import read_records, text_reader, write_records, write_text
 from .errors import ParseError
 
 if TYPE_CHECKING:
@@ -125,9 +125,7 @@ def load_lexicon(source, source_label: str | None = None) -> FormalLexicon:
 
 def write_lexicon(lexicon: FormalLexicon, sink) -> None:
     """Write one token per line, sorted for reproducibility."""
-    with text_writer(sink) as stream:
-        for token in sorted(lexicon.tokens):
-            stream.write(token + "\n")
+    write_text(sink, "".join(token + "\n" for token in sorted(lexicon.tokens)))
 
 
 def count_frequencies(corpus: Iterable[str]) -> FrequencyTable:
@@ -143,33 +141,21 @@ def count_frequencies(corpus: Iterable[str]) -> FrequencyTable:
 def load_frequencies(source) -> FrequencyTable:
     """Read a ``token TAB count`` file; counts must be positive integers."""
     counts: dict[str, int] = {}
-    with text_reader(source) as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(
-                    f"expected 'token<TAB>count', got {line!r}", line=lineno
-                )
-            try:
-                count = int(fields[1])
-            except ValueError:
-                raise ParseError(
-                    f"non-integer count {fields[1]!r}", line=lineno
-                ) from None
-            if count < 1:
-                raise ParseError(f"count must be >= 1, got {count}", line=lineno)
-            counts[fields[0]] = count
+    for lineno, (token, count_text) in read_records(source, 2):
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise ParseError(f"non-integer count {count_text!r}", line=lineno) from None
+        if count < 1:
+            raise ParseError(f"count must be >= 1, got {count}", line=lineno)
+        counts[token] = count
     return FrequencyTable(counts=counts, total_tokens=sum(counts.values()))
 
 
 def write_frequencies(table: FrequencyTable, sink) -> None:
     """Write ``token TAB count`` lines, most frequent first."""
-    with text_writer(sink) as stream:
-        for token, count in sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            stream.write(f"{token}\t{count}\n")
+    ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    write_records(sink, ((token, str(count)) for token, count in ranked))
 
 
 def filter_pairs_by_lexicon(

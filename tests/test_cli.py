@@ -9,7 +9,7 @@ import pytest
 
 import spellvar
 from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table
-from spellvar import cli
+from spellvar import cli, vocab
 from spellvar.cli import _parse_bool, _parse_cutoffs, build_parser, load_config, main
 from spellvar.embeddings import write_embeddings
 from spellvar.extract import write_pairs
@@ -185,6 +185,23 @@ class TestVocabCommands:
         assert freq.read_text(encoding="utf-8") == "b\t3\na\t1\nc\t1\n"
         assert "distinct tokens: 3 (total 5)" in out
 
+    def test_non_utf8_corpus_byte_survives_count_freq_and_extract(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"suxx caf\xffe suxx\ncaf\xffe caf\xffe\n")
+        freq = tmp_path / "freq.tsv"
+        assert run(capsys, "count-freq", "--corpus", str(corpus), "--freq", str(freq))[0] == 0
+        assert freq.read_bytes() == b"caf\xffe\t3\nsuxx\t2\n"
+        assert vocab.load_frequencies(freq)["caf\udcffe"] == 3
+        defs = tmp_path / "defs.tsv"
+        defs.write_text('ud01\tsuxx\t[Demoscene] spelling of "Sucks".\n', encoding="utf-8")
+        pairs = tmp_path / "pairs.tsv"
+        code, out, _ = run(
+            capsys, "extract", "--defs", str(defs), "--freq", str(freq),
+            "--pairs", str(pairs), "--min-freq", "2",
+        )
+        assert code == 0
+        assert "pairs kept: 1" in out
+
 
 def write_blas_fixture(tmp_path, name):
     """Evaluate inputs: the criterion 9 fixture, or a pool large enough for
@@ -348,6 +365,23 @@ class TestEvaluateCommand:
         assert out == ""
         assert err.startswith("error: cutoffs must be")
         assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_bad_cutoffs_same_error_from_flag_and_config(tmp_path, capsys, command):
+    emb, lex, pairs, report = write_eval_inputs(tmp_path)
+    tsv = tmp_path / "r.tsv"
+    tsv.write_text("ur\tyour\tscored\t1\tyour:0.993884\n", encoding="utf-8")
+    inputs = {
+        "evaluate": ("--pairs", str(pairs), "--lexicon", str(lex),
+                     "--embeddings", str(emb), "--report", str(report)),
+        "report": ("--report", str(tsv)),
+    }[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cutoffs = 1,two\n", encoding="utf-8")
+    from_flag = run(capsys, command, *inputs, "--cutoffs", "1,two")
+    from_config = run(capsys, command, *inputs, "--config", str(cfg))
+    assert from_flag == from_config == (1, "", "error: cutoffs must be integers: '1,two'\n")
 
 
 class TestReportCommand:

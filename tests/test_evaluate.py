@@ -1,17 +1,20 @@
 import io
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table
 from spellvar import evaluate
-from spellvar.embeddings import EmbeddingTable, normalize
+from spellvar.embeddings import EmbeddingTable, load_embeddings, normalize
 from spellvar.errors import DegenerateVectorError, MissingTokenError, ParseError
+from spellvar.vocab import FormalLexicon
 from spellvar.evaluate import (
     DEFAULT_CUTOFFS,
     EvalConfig,
+    PairResult,
     PairStatus,
     ReportRow,
     accuracy_summary,
@@ -28,6 +31,9 @@ from spellvar.evaluate import (
 
 # 0.9 / sqrt(0.82), frozen from an arbitrary-precision computation
 SIM_UR_YOUR = 0.9938837346736189
+
+# An embedding token: any bytes but the separators of the table format.
+TOKEN_BYTES = st.binary(min_size=1, max_size=6).filter(lambda b: not set(b) & set(b" \n\r"))
 
 
 class TestEvalConfig:
@@ -502,6 +508,54 @@ class TestReportRendering:
         assert text_sink.getvalue().decode() == render_report_text(report)
         assert tsv_sink.getvalue().decode() == render_report_tsv(report)
 
+    def test_non_utf8_neighbor_token_is_written_and_read_back(self, tmp_path):
+        table = normalize(load_embeddings(b"ur 1 0\nyour 0.9 0.1\nbab\xffylon 0.5 0.5\n"))
+        lexicon = lexicon_of("your", "bab\udcffylon")
+        report = evaluate_pairs(table, [pair("ur", "your")], lexicon, EvalConfig(k=2))
+        text_path, tsv_path = tmp_path / "run.report", tmp_path / "run.report.tsv"
+        text_path.write_bytes(b"old report\n")
+        write_report(report, text_path, tsv_path)
+        assert b"bab\xffylon:0.7" in text_path.read_bytes()
+        [row] = load_report_rows(tsv_path)
+        assert [t for t, _ in row.top_neighbors] == ["your", "bab\udcffylon"]
+
+    def test_rendering_failure_writes_neither_file(self, tmp_path):
+        report = self.report()
+        report.per_pair.append(
+            PairResult(pair("x", "y"), PairStatus.SCORED, 1, [("y", "not a number")])
+        )
+        text_path, tsv_path = tmp_path / "run.report", tmp_path / "run.report.tsv"
+        text_path.write_bytes(b"old report\n")
+        tsv_path.write_bytes(b"old tsv\n")
+        with pytest.raises(ValueError):
+            write_report(report, text_path, tsv_path)
+        assert text_path.read_bytes() == b"old report\n"
+        assert tsv_path.read_bytes() == b"old tsv\n"
+        assert sorted(os.listdir(tmp_path)) == ["run.report", "run.report.tsv"]
+
+    @given(st.lists(TOKEN_BYTES, min_size=1, max_size=8, unique=True), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_tokens_round_trip_through_a_report_file(self, tmp_path_factory, raw, seed):
+        rng = np.random.default_rng(seed)
+        lines = [
+            b" ".join([token] + [repr(float(v)).encode() for v in rng.normal(size=3)])
+            for token in raw + [b"target"]
+        ]
+        table = normalize(load_embeddings(b"\n".join(lines) + b"\n"))
+        informal = table.vocabulary[0]
+        assume(informal.lower() != "target")
+        lexicon = FormalLexicon(frozenset(t.lower() for t in table.vocabulary))
+        config = EvalConfig(k=len(table.vocabulary))
+        report = evaluate_pairs(table, [pair(informal, "target")], lexicon, config)
+        base = tmp_path_factory.getbasetemp()
+        write_report(report, base / "prop.report", base / "prop.report.tsv")
+        [row] = load_report_rows(base / "prop.report.tsv")
+        [result] = report.per_pair
+        assert (row.informal, row.formal, row.rank) == (informal, "target", result.rank)
+        assert [t for t, _ in row.top_neighbors] == [t for t, _ in result.top_neighbors]
+        expected = [float(f"{s:.6f}") for _, s in result.top_neighbors]
+        assert [s for _, s in row.top_neighbors] == expected
+
     def test_round_trip_through_tsv(self):
         report = self.report()
         rows = load_report_rows(render_report_tsv(report).encode())
@@ -584,6 +638,22 @@ class TestLoadReportRows:
     def test_malformed_neighbor(self):
         with pytest.raises(ParseError, match="neighbor"):
             load_report_rows(b"ur\tyour\tscored\t1\tyour\n")
+
+    @pytest.mark.parametrize("neighbors", ["a:0.1,,b:0.2", "a:0.1,", ",a:0.1", "a:x", "a,b:0.1"])
+    def test_malformed_neighbor_lists(self, neighbors):
+        with pytest.raises(ParseError, match="malformed neighbor"):
+            load_report_rows(f"ur\tyour\tscored\t1\t{neighbors}\n".encode())
+
+    @pytest.mark.parametrize(
+        "token", ["a,b", "a\tb", "a\\b", "a\\cb", "x:0.500000,y", "a\nb\rc"],
+        ids=["comma", "tab", "backslash", "escape-lookalike", "list-lookalike", "newlines"],
+    )
+    def test_neighbor_token_round_trips(self, token):
+        table = normalize(make_table({"ur": [1.0, 0.0], "your": [0.9, 0.1], token: [0.5, 0.5]}))
+        report = evaluate_pairs(table, [pair("ur", "your")], lexicon_of("your", token), EvalConfig(k=2))
+        [row] = load_report_rows(render_report_tsv(report).encode())
+        assert [t for t, _ in row.top_neighbors] == ["your", token]
+        assert len(render_report_tsv(report).splitlines()) == 1
 
 
 class TestAccuracySummary:

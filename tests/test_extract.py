@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spellvar._fileio import _escape, _unescape, format_record, read_records, write_records
 from spellvar.errors import ParseError
 from spellvar.extract import (
     DefinitionEntry,
@@ -13,8 +14,6 @@ from spellvar.extract import (
     ExtractionStats,
     Validation,
     VariantPair,
-    _escape,
-    _unescape,
     apply_filters,
     extract_candidate,
     find_spelling_definitions,
@@ -27,6 +26,18 @@ from spellvar.extract import (
 from spellvar.vocab import FrequencyTable
 
 DATA = Path(__file__).parent / "data"
+
+# A field as a decoded file can hold it: any text, or bytes that need not be
+# UTF-8, whose stray bytes decode to lone surrogates under surrogateescape.
+FIELD = st.one_of(
+    st.text(
+        alphabet=st.one_of(
+            st.characters(blacklist_categories=("Cs",)), st.sampled_from("\\\t\n\r,:")
+        ),
+        max_size=20,
+    ),
+    st.binary(max_size=20).map(lambda b: b.decode("utf-8", "surrogateescape")),
+)
 
 
 def entry(definition, headword="head", entry_id="e1"):
@@ -356,13 +367,31 @@ class TestDefinitionsIO:
         assert len(entries) == 7
         assert entries[3].headword == "Aryan"  # raw case preserved at parse time
 
-    @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60))
+    def test_carriage_return_round_trips_through_a_path(self, tmp_path):
+        entries = [DefinitionEntry("e1", "suxx", "one\rtwo\r\nthree")]
+        path = tmp_path / "defs.tsv"
+        write_definitions(entries, path)
+        assert read_definitions(path) == entries
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda w: st.tuples(
+                st.just(w), st.lists(st.lists(FIELD, min_size=w, max_size=w), max_size=6)
+            )
+        )
+    )
     @settings(max_examples=150)
-    def test_escape_round_trip(self, text):
-        escaped = _escape(text)
-        assert "\n" not in escaped
-        assert "\t" not in escaped
-        assert _unescape(escaped) == text
+    def test_escape_round_trip(self, tmp_path_factory, width_records):
+        width, records = width_records
+        for fields in records:
+            for text in fields:
+                escaped = _escape(text)
+                assert not {"\n", "\t", "\r"} & set(escaped)
+                assert _unescape(escaped) == text
+            assert format_record(fields).count("\t") == width - 1
+        path = tmp_path_factory.getbasetemp() / "records.tsv"
+        write_records(path, records)
+        assert [fields for _, fields in read_records(path, width)] == records
 
 
 class TestPairsIO:

@@ -1,0 +1,116 @@
+import io
+import os
+import stat
+import threading
+
+import pytest
+
+from helpers import pair
+from spellvar._fileio import (
+    binary_writer,
+    format_record,
+    join_items,
+    read_records,
+    split_items,
+    write_records,
+)
+from spellvar.errors import ParseError
+from spellvar.extract import write_pairs
+
+
+class TestRecordCodec:
+    def test_plain_record_is_written_as_is(self):
+        assert format_record(["a", "b c", "d,e:f"]) == "a\tb c\td,e:f\n"
+
+    def test_every_field_is_escaped(self):
+        assert format_record(["a\\b", "t\tn\nr\r"]) == "a\\\\b\tt\\tn\\nr\\r\n"
+
+    def test_read_unescapes_every_field_and_skips_blank_lines(self):
+        records = list(read_records(b"a\\\\b\tt\\tn\\nr\\r\n\nx\ty\n", 2))
+        assert records == [(1, ["a\\b", "t\tn\nr\r"]), (3, ["x", "y"])]
+
+    def test_unknown_escape_reads_as_itself(self):
+        assert list(read_records(b"C:\\slang\\\tx\n", 2)) == [(1, ["C:\\slang\\", "x"])]
+
+    def test_field_count_error(self):
+        with pytest.raises(ParseError, match="line 2: expected 3 tab-separated fields, found 2"):
+            list(read_records(b"a\tb\tc\nd\te\n", 3))
+
+    def test_non_utf8_bytes_survive_a_path(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        write_records(path, [("caf\udcff", "1")])
+        assert path.read_bytes() == b"caf\xff\t1\n"
+        assert list(read_records(path, 2)) == [(1, ["caf\udcff", "1"])]
+
+    def test_items(self):
+        items = ["a,b:0.5", "c\\d", "", "plain"]
+        assert join_items(items) == "a\\cb:0.5,c\\\\d,,plain"
+        assert split_items(join_items(items)) == items
+        assert split_items("") == []
+
+
+class TestPathWriters:
+    def test_failed_text_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"old contents\n")
+
+        def interrupted():
+            yield pair("suxx", "sucks")
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            write_pairs(interrupted(), path)
+        assert path.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["pairs.tsv"]
+
+    def test_failed_binary_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "table.vec"
+        path.write_bytes(b"old 1 2\n")
+        with pytest.raises(RuntimeError):
+            with binary_writer(path) as stream:
+                stream.write(b"new 3 4\n")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"old 1 2\n"
+        assert os.listdir(tmp_path) == ["table.vec"]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        write_records(path, [("a", "b")])
+        mask = os.umask(0)
+        os.umask(mask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~mask
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        path.chmod(0o600)
+        write_records(path, [("a", "b")])
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert path.read_text(encoding="utf-8") == "a\tb\n"
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "real.tsv"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target)
+        write_records(link, [("a", "b")])
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == "a\tb\n"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_records(fifo, [("a", "b")])
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"a\tb\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_stream_sink_stays_open(self):
+        sink = io.BytesIO()
+        write_records(sink, [("a", "b")])
+        assert not sink.closed
+        assert sink.getvalue() == b"a\tb\n"

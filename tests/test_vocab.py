@@ -155,6 +155,12 @@ class TestFrequencies:
         assert again.counts == freq.counts
         assert again.total_tokens == freq.total_tokens
 
+    def test_tokens_with_tabs_and_backslashes_round_trip(self, tmp_path):
+        table = FrequencyTable(counts={"a\tb": 2, "back\\slash": 1, "plain": 5}, total_tokens=8)
+        path = tmp_path / "freq.tsv"
+        write_frequencies(table, path)
+        assert load_frequencies(path).counts == table.counts
+
     def test_load_rejects_bad_field_count(self):
         with pytest.raises(ParseError, match="line 1"):
             load_frequencies(b"solo\n")
