@@ -199,14 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="mine candidate pairs from a definitions dump")
     p.add_argument("--defs", help="definitions dump (id TAB headword TAB definition)")
     p.add_argument("--freq", help="token TAB count frequency file")
-    p.add_argument("--min-freq", type=int, dest="min_freq",
+    p.add_argument("--min-freq", dest="min_freq",
                    help=f"drop headwords rarer than this (default {DEFAULT_MIN_FREQ})")
     p.add_argument("--pairs", help="output pairs file")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("build-vocab", help="build a formal lexicon from a corpus")
     p.add_argument("--corpus", help="plain-text corpus file")
-    p.add_argument("--min-count", type=int, dest="min_count",
+    p.add_argument("--min-count", dest="min_count",
                    help=f"minimum occurrences (default {DEFAULT_MIN_COUNT})")
     p.add_argument("--lexicon", help="output lexicon file, one token per line")
     p.set_defaults(func=cmd_build_vocab)
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-summarize a saved machine-readable report")
     p.add_argument("--report", help="machine-readable report (.tsv) path")
     p.add_argument("--cutoffs", help="accuracy cutoffs, comma-separated (default 1,5,10,20)")
-    p.add_argument("--worst", type=int, help="how many worst pairs to list (default 10)")
+    p.add_argument("--worst", help="how many worst pairs to list (default 10)")
     p.set_defaults(func=cmd_report)
 
     for p in sub.choices.values():

@@ -8,13 +8,22 @@ and cosine similarities for the ranking code.
 Tokens are treated as opaque byte sequences split on single spaces;
 non-UTF-8 bytes survive a load/write round trip via surrogateescape.
 A table is immutable once built and safe to share across threads.
+
+Loading streams the source: it is read ``CHUNK_BYTES`` at a time, and its
+records are parsed ``BLOCK_LINES`` at a time, each block with one
+``np.loadtxt`` call and cast to float32 as it is parsed. So beside the
+matrix the loader holds one chunk and one block of text, however large the
+file. Values are parsed exactly as ``float()`` parses them, and must be
+finite in float32: a non-numeric value, a NaN or infinity, or a value
+past float32's range is a ParseError naming its line.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +33,8 @@ from .errors import DegenerateVectorError, ParseError
 log = logging.getLogger(__name__)
 
 NORM_TOLERANCE = 1e-6  # unit-norm slack for the normalized-table invariant
+BLOCK_LINES = 4096  # records parsed per numpy call
+CHUNK_BYTES = 1 << 20  # bytes read from the source at a time
 
 
 @dataclass(frozen=True)
@@ -60,9 +71,10 @@ class EmbeddingTable:
                 raise ValueError(f"duplicate token in vocabulary: {token!r}")
             index[token] = i
         object.__setattr__(self, "index", index)
-        norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
-        object.__setattr__(self, "degenerate", norms == 0.0)
+        # Exact: a nonzero float32 squares to a nonzero float64.
+        object.__setattr__(self, "degenerate", ~self.matrix.any(axis=1))
         if self.normalized:
+            norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
             live = norms[norms > 0.0]
             if live.size and np.max(np.abs(live - 1.0)) > NORM_TOLERANCE:
                 raise ValueError("normalized flag set but rows are not unit length")
@@ -76,6 +88,7 @@ class EmbeddingTable:
 
 
 def _parse_row(fields: list[bytes], dimension: int, lineno: int) -> np.ndarray:
+    """One record's values as float32, or the ParseError for its line."""
     if len(fields) != dimension:
         raise ParseError(
             f"expected {dimension} values, found {len(fields)}", line=lineno
@@ -86,7 +99,78 @@ def _parse_row(fields: list[bytes], dimension: int, lineno: int) -> np.ndarray:
         raise ParseError(f"non-numeric value in {fields!r}", line=lineno) from None
     if not all(np.isfinite(values)):
         raise ParseError("non-finite value", line=lineno)
-    return np.asarray(values, dtype=np.float64)
+    return _float32(np.asarray(values, dtype=np.float64)[None], [lineno])[0]
+
+
+def _float32(rows: np.ndarray, linenos: list[int]) -> np.ndarray:
+    """Finite float64 ``rows`` as float32; a value that does not fit is a
+    ParseError naming its line."""
+    with np.errstate(over="ignore"):
+        narrow = rows.astype(np.float32)
+    past = ~np.isfinite(narrow).all(axis=1)
+    if past.any():
+        raise ParseError("value out of float32 range", line=linenos[past.argmax()])
+    return narrow
+
+
+def _parse_block(block: list[tuple[int, bytes, bytes | None]], dimension: int) -> np.ndarray:
+    """The float32 rows of ``(line number, token, values text)`` records.
+
+    One ``np.loadtxt`` call parses the block. It converts with the same
+    correctly rounded routine as ``float()``, so the values are identical.
+    When it cannot be used or fails, or finds a value that is not finite,
+    the block is parsed again line by line, which names the first bad line.
+    """
+    values = [text for _, _, text in block]
+    rows = None
+    if _loadtxt_reads_as_float(values):
+        try:
+            rows = np.loadtxt(
+                values, dtype=np.float64, delimiter=" ", comments=None,
+                ndmin=2, encoding="ascii",
+            )
+        except ValueError:  # a malformed value: the line-by-line parse names it
+            pass
+    if rows is None or rows.shape != (len(block), dimension) or not np.isfinite(rows).all():
+        return np.vstack([
+            _parse_row([] if text is None else text.split(b" "), dimension, lineno)
+            for lineno, _, text in block
+        ])
+    return _float32(rows, [lineno for lineno, _, _ in block])
+
+
+def _loadtxt_reads_as_float(values: list[bytes | None]) -> bool:
+    """Whether np.loadtxt reads the values texts as ``float()`` does. It
+    skips an empty line, and it takes the bytes 0x1c-0x1f for space around
+    a number, where ``float()`` rejects both. None (a line with no space)
+    is not text at all."""
+    if None in values or b"" in values:
+        return False
+    text = b"".join(values)
+    return not any(byte in text for byte in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+
+
+def _read_lines(stream) -> Iterator[bytes]:
+    """The lines of a binary stream, split as ``bytes.splitlines()`` splits
+    (at LF, CR or CRLF), read ``CHUNK_BYTES`` at a time."""
+    rest = b""
+    while chunk := stream.read(CHUNK_BYTES):
+        chunk = rest + chunk
+        # A CR at the end may be the first half of a CRLF: keep it for the next read.
+        end = len(chunk) - chunk.endswith(b"\r")
+        cut = max(chunk.rfind(b"\n", 0, end), chunk.rfind(b"\r", 0, end)) + 1
+        rest = chunk[cut:]
+        yield from chunk[:cut].splitlines()
+    yield from rest.splitlines()
+
+
+def _records(lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, bytes, bytes | None]]:
+    """``(line number, token, values text)`` per non-blank line; the text is
+    None for a line with no space."""
+    for lineno, line in lines:
+        if line:
+            token, space, text = line.partition(b" ")
+            yield lineno, token, text if space else None
 
 
 def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
@@ -94,53 +178,60 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
 
     ``source`` may be a path, bytes, or a binary file object. ``format`` is
     ``plain`` (dimension inferred from the first data line) or ``headered``
-    (first line is ``count dim``). Values are parsed as float64 and stored
-    as float32. Duplicate tokens keep the first occurrence and are tallied
-    on the returned table.
+    (first line is ``count dim``). Duplicate tokens keep the first
+    occurrence and are tallied on the returned table.
+
+    The source is read in a stream, ``CHUNK_BYTES`` at a time, and parsed
+    ``BLOCK_LINES`` records at a time with one numpy call per block. Each
+    value is parsed as ``float()`` parses it and stored as float32; a value
+    that is not finite, or that does not fit in float32, is a ParseError
+    naming its line, and the first bad line in the file is the one named.
+    Only the matrix grows with the file: beside it the loader holds one
+    chunk and one block of text.
     """
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
-    with binary_reader(source) as stream:
-        lines = stream.read().splitlines()
-
     dimension = None
-    start = 0
-    if format == "headered":
-        if not lines:
-            raise ParseError("empty embedding source")
-        header = lines[0].split(b" ")
-        if len(header) != 2:
-            raise ParseError("header must be 'count dimension'", line=1)
-        try:
-            declared_count, dimension = int(header[0]), int(header[1])
-        except ValueError:
-            raise ParseError("non-integer header field", line=1) from None
-        if dimension < 1:
-            raise ParseError("header dimension must be positive", line=1)
-        start = 1
-
     tokens: list[str] = []
     seen: set[str] = set()
-    rows: list[np.ndarray] = []
+    matrix = bytearray()  # the float32 rows, grown in place block by block
     duplicates = 0
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line:
-            continue
-        fields = line.split(b" ")
-        token = fields[0].decode(**UTF8)
-        if dimension is None:
-            dimension = len(fields) - 1
+    with binary_reader(source) as stream:
+        lines = enumerate(_read_lines(stream), start=1)
+        if format == "headered":
+            _, line = next(lines, (1, None))
+            if line is None:
+                raise ParseError("empty embedding source")
+            header = line.split(b" ")
+            if len(header) != 2:
+                raise ParseError("header must be 'count dimension'", line=1)
+            try:
+                declared_count, dimension = int(header[0]), int(header[1])
+            except ValueError:
+                raise ParseError("non-integer header field", line=1) from None
             if dimension < 1:
-                raise ParseError("first record has no values", line=lineno)
-        row = _parse_row(fields[1:], dimension, lineno)
-        if token in seen:
-            duplicates += 1
-            continue
-        seen.add(token)
-        tokens.append(token)
-        rows.append(row)
+                raise ParseError("header dimension must be positive", line=1)
 
-    if not rows:
+        records = _records(lines)
+        for block in iter(lambda: list(islice(records, BLOCK_LINES)), []):
+            if dimension is None:
+                lineno, _, text = block[0]
+                if text is None:
+                    raise ParseError("first record has no values", line=lineno)
+                dimension = text.count(b" ") + 1
+            rows = _parse_block(block, dimension)
+            keep = []
+            for i, (_, key, _) in enumerate(block):
+                token = key.decode(**UTF8)
+                if token in seen:
+                    duplicates += 1
+                    continue
+                seen.add(token)
+                tokens.append(token)
+                keep.append(i)
+            matrix.extend(rows if len(keep) == len(rows) else rows[keep])
+
+    if not tokens:
         raise ParseError("empty embedding source")
     if duplicates:
         log.warning("dropped %d duplicate embedding records", duplicates)
@@ -149,11 +240,10 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
             "header declares %d records, found %d", declared_count,
             len(tokens) + duplicates,
         )
-    matrix = np.vstack(rows).astype(np.float32)
     return EmbeddingTable(
         dimension=dimension,
         vocabulary=tuple(tokens),
-        matrix=matrix,
+        matrix=np.frombuffer(matrix, dtype=np.float32).reshape(len(tokens), dimension),
         duplicates=duplicates,
     )
 

@@ -367,8 +367,21 @@ class TestEvaluateCommand:
         assert not report.exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "report"])
-def test_bad_cutoffs_same_error_from_flag_and_config(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, option, value, message", [
+    pytest.param("evaluate", "cutoffs", "1,two", "cutoffs must be integers: '1,two'",
+                 id="evaluate"),
+    pytest.param("report", "cutoffs", "1,two", "cutoffs must be integers: '1,two'",
+                 id="report"),
+    pytest.param("report", "worst", "two", "invalid literal for int() with base 10: 'two'",
+                 id="report-worst"),
+    pytest.param("extract", "min-freq", "2.5",
+                 "invalid literal for int() with base 10: '2.5'", id="extract-min-freq"),
+    pytest.param("build-vocab", "min-count", "many",
+                 "invalid literal for int() with base 10: 'many'", id="build-vocab-min-count"),
+])
+def test_bad_cutoffs_same_error_from_flag_and_config(
+    tmp_path, capsys, command, option, value, message
+):
     emb, lex, pairs, report = write_eval_inputs(tmp_path)
     tsv = tmp_path / "r.tsv"
     tsv.write_text("ur\tyour\tscored\t1\tyour:0.993884\n", encoding="utf-8")
@@ -376,12 +389,16 @@ def test_bad_cutoffs_same_error_from_flag_and_config(tmp_path, capsys, command):
         "evaluate": ("--pairs", str(pairs), "--lexicon", str(lex),
                      "--embeddings", str(emb), "--report", str(report)),
         "report": ("--report", str(tsv)),
+        "extract": ("--defs", str(tmp_path / "defs.tsv"), "--freq", str(tmp_path / "f.tsv"),
+                    "--pairs", str(tmp_path / "out.tsv")),
+        "build-vocab": ("--corpus", str(tmp_path / "corpus.txt"),
+                        "--lexicon", str(tmp_path / "out.txt")),
     }[command]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("cutoffs = 1,two\n", encoding="utf-8")
-    from_flag = run(capsys, command, *inputs, "--cutoffs", "1,two")
+    cfg.write_text(f"{option} = {value}\n", encoding="utf-8")
+    from_flag = run(capsys, command, *inputs, f"--{option}", value)
     from_config = run(capsys, command, *inputs, "--config", str(cfg))
-    assert from_flag == from_config == (1, "", "error: cutoffs must be integers: '1,two'\n")
+    assert from_flag == from_config == (1, "", f"error: {message}\n")
 
 
 class TestReportCommand:

@@ -1,11 +1,15 @@
 import io
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import make_table
+from spellvar import embeddings
 from spellvar.embeddings import (
     EmbeddingTable,
     cosine,
@@ -18,6 +22,112 @@ from spellvar.errors import DegenerateVectorError, ParseError
 
 # 32 / (sqrt(14) * sqrt(77)), frozen from an arbitrary-precision computation
 COS_123_456 = 0.9746318461970763
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def reference_load(raw: bytes, format: str = "plain"):
+    """The loader's rules applied one line at a time with ``float()``, the
+    reference the block parser must match: ``(vocabulary, matrix,
+    duplicates)``, or the ParseError of the first bad line."""
+    lines = raw.splitlines()
+    dimension = None
+    start = 0
+    if format == "headered":
+        if not lines:
+            raise ParseError("empty embedding source")
+        header = lines[0].split(b" ")
+        if len(header) != 2:
+            raise ParseError("header must be 'count dimension'", line=1)
+        try:
+            int(header[0])
+            dimension = int(header[1])
+        except ValueError:
+            raise ParseError("non-integer header field", line=1) from None
+        if dimension < 1:
+            raise ParseError("header dimension must be positive", line=1)
+        start = 1
+    tokens, seen, rows, duplicates = [], set(), [], 0
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line:
+            continue
+        fields = line.split(b" ")
+        token = fields[0].decode("utf-8", "surrogateescape")
+        if dimension is None:
+            dimension = len(fields) - 1
+            if dimension < 1:
+                raise ParseError("first record has no values", line=lineno)
+        values = fields[1:]
+        if len(values) != dimension:
+            raise ParseError(f"expected {dimension} values, found {len(values)}", line=lineno)
+        try:
+            floats = [float(f) for f in values]
+        except ValueError:
+            raise ParseError(f"non-numeric value in {values!r}", line=lineno) from None
+        if not all(np.isfinite(floats)):
+            raise ParseError("non-finite value", line=lineno)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.array(floats, dtype=np.float32)).all():
+                raise ParseError("value out of float32 range", line=lineno)
+        if token in seen:
+            duplicates += 1
+            continue
+        seen.add(token)
+        tokens.append(token)
+        rows.append(floats)
+    if not rows:
+        raise ParseError("empty embedding source")
+    return tuple(tokens), np.array(rows, dtype=np.float64).astype(np.float32), duplicates
+
+
+def outcome(load, raw: bytes, format: str = "plain"):
+    """What a load gives, in a form two loaders can be compared by."""
+    try:
+        result = load(raw, format)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.line
+    if isinstance(result, EmbeddingTable):
+        result = result.vocabulary, result.matrix, result.duplicates
+    vocabulary, matrix, duplicates = result
+    return vocabulary, matrix.dtype, matrix.shape, matrix.tobytes(), duplicates
+
+
+# Value texts float() and np.loadtxt disagree on, or that are bad or at a limit.
+ODD_VALUES = [
+    b"", b"x", b"1_0", b"0x1", b"1e", b"nan", b"-inf", b"1e999", b"1e39", b"-1e39",
+    b"3.4028235e38", b"3.4028236e38", b"1e-50", b"2.5e-45", b"+.5", b"5.", b"-0",
+    b"\xff", b"\xc2\xa01", b"1\x1c", b"\x1f2", b"\x0b1", b"1\x0c", b"\t1", b"1\t2", b"1\x00",
+]
+TOKENS = [b"a", b"b", b"A", b"", b"caf\xe9", b"\xff"]
+
+
+@st.composite
+def embedding_sources(draw):
+    """A small embedding source, plain or headered, often malformed."""
+    dimension = draw(st.integers(1, 3))
+    value = st.one_of(
+        st.floats(width=32, allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ).map(lambda v: repr(v).encode())
+    record = st.builds(
+        lambda token, values: token + b" " + b" ".join(values),
+        st.sampled_from(TOKENS),
+        st.lists(
+            st.one_of(value, value, value, st.sampled_from(ODD_VALUES)),
+            min_size=dimension, max_size=dimension,
+        ),
+    )
+    odd_line = st.sampled_from([b"", b" ", b"a", b"a ", b"a  1", b"b 1 2 3 4"])
+    lines = draw(st.lists(st.one_of(record, record, record, odd_line), max_size=8))
+    if draw(st.booleans()):
+        header = st.sampled_from([b"%d %d" % (len(lines), dimension), b"x 1", b"2", b"2 0", b""])
+        lines.insert(0, draw(header))
+    ends = draw(st.lists(
+        st.sampled_from([b"\n", b"\r", b"\r\n"]), min_size=len(lines), max_size=len(lines)
+    ))
+    raw = b"".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        raw = raw.rstrip(b"\r\n")
+    return raw
 
 
 class TestLoad:
@@ -81,6 +191,82 @@ class TestLoad:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             load_embeddings(b"a 1\n", format="binary")
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"a 1 0\nb 1e39 0.5\n", 2),
+        (b"a -3.4028236e38 0\n", 1),
+        (b"a 1 0\nb 0 -1e39\nc x 0\n", 2),  # the first bad line, whatever its fault
+    ])
+    def test_value_past_float32_range(self, raw, line):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as caught:
+                load_embeddings(raw)
+        assert str(caught.value) == f"line {line}: value out of float32 range"
+        assert caught.value.line == line
+
+    def test_largest_float32_loads(self):
+        table = load_embeddings(b"a 3.4028235e38 -3.4028235e38\n")
+        assert table.matrix.tolist() == [[F32_MAX, -F32_MAX]]
+
+
+class TestBlockParser:
+    """The streaming block parser against the line-by-line reference."""
+
+    @seed(20261018)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        raw=embedding_sources(),
+        format=st.sampled_from(["plain", "headered"]),
+        block=st.integers(1, 3),
+        chunk=st.integers(1, 8),
+    )
+    def test_matches_line_by_line_reference(self, raw, format, block, chunk):
+        with (
+            mock.patch.object(embeddings, "BLOCK_LINES", block),
+            mock.patch.object(embeddings, "CHUNK_BYTES", chunk),
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("error")
+            got = outcome(load_embeddings, raw, format)
+        assert got == outcome(reference_load, raw, format)
+
+    def test_odd_values_inside_a_block(self):
+        for value in ODD_VALUES:
+            raw = b"a 1 2\nb 3 " + value + b"\nc 4 5\n"
+            assert outcome(load_embeddings, raw) == outcome(reference_load, raw), value
+
+    @pytest.mark.parametrize("shift", range(-3, 4))
+    def test_crlf_split_across_the_chunk_read(self, shift):
+        # The first line's CR is byte CHUNK_BYTES - 1 + shift of the source:
+        # at shift 0 the CR ends the first read and its LF starts the second.
+        first = b"a" * (embeddings.CHUNK_BYTES - 3 + shift) + b" 1"
+        raw = first + b"\r\nb 2\r\nc x\r\n"
+        with pytest.raises(ParseError, match="^line 3: non-numeric"):
+            load_embeddings(raw)
+        table = load_embeddings(raw[:-6])
+        assert outcome(load_embeddings, raw[:-6]) == outcome(reference_load, raw[:-6])
+        assert len(table) == 2
+
+    def test_peak_memory_is_below_the_text_size(self, monkeypatch):
+        # Beside the matrix and the tokens the loader holds one chunk of the
+        # source and one block of records; shrinking both lets a small file
+        # show that bound.
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 64)
+        monkeypatch.setattr(embeddings, "CHUNK_BYTES", 1 << 16)
+        rows, dimension = 4000, 10
+        value = b"-0." + b"1234567890" * 10
+        line = b" ".join([value] * dimension)
+        raw = b"".join(b"w%d %s\n" % (i, line) for i in range(rows))
+        assert len(raw) >= 5 * rows * dimension * 4
+        tracemalloc.start()
+        try:
+            table = load_embeddings(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.matrix.shape == (rows, dimension)
+        assert peak < len(raw)
 
 
 class TestRoundTrip:
@@ -241,6 +427,11 @@ class TestTableInvariants:
     def test_normalized_flag_requires_unit_rows(self):
         with pytest.raises(ValueError, match="unit"):
             make_table({"a": [3.0, 4.0]}, normalized=True)
+
+    def test_degenerate_flags_exactly_the_zero_rows(self):
+        tiny = float(np.float32(1.4e-45))  # the smallest float32 subnormal
+        table = make_table({"z": [0.0, 0.0], "m": [-0.0, 0.0], "t": [tiny, 0.0], "u": [0.0, -1.0]})
+        assert table.degenerate.tolist() == [True, True, False, False]
 
     def test_matrix_read_only(self):
         table = make_table({"a": [1.0, 2.0]})
