@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from itertools import chain
 
 from . import evaluate as ev
 from . import extract as ex
@@ -58,22 +59,27 @@ def load_config(path: str) -> dict[str, str]:
 
 
 class Options:
-    """Flag values with config-file fallback and built-in defaults."""
+    """Flag values with config-file fallback and built-in defaults. A value
+    that fails to convert names its option, and the config file it came from."""
 
     def __init__(self, args: argparse.Namespace):
         self._args = args
         self._config = load_config(args.config) if args.config else {}
 
     def get(self, name, default=None, conv=None, required=False):
-        value = getattr(self._args, name, None)
+        key = name.replace("_", "-")
+        value, source = getattr(self._args, name, None), "--" + key
         if value is None:
-            value = self._config.get(name)
+            value, source = self._config.get(name), f"{self._args.config}: {key}"
         if conv and isinstance(value, str):
-            value = conv(value)
+            try:
+                value = conv(value)
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from None
         if value is None:
             value = default
         if value is None and required:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
+            raise ValueError(f"missing required option --{key}")
         return value
 
 
@@ -103,7 +109,7 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
     min_count = opts.get("min_count", default=DEFAULT_MIN_COUNT, conv=int)
 
     with text_reader(corpus_path) as stream:
-        tokens = (t for line in stream for t in vocab.tokenize(line))
+        tokens = chain.from_iterable(map(vocab.tokenize, stream))
         lexicon = vocab.build_lexicon(tokens, min_count, source_label=corpus_path)
     vocab.write_lexicon(lexicon, lexicon_path)
     print(f"lexicon tokens: {len(lexicon)} -> {lexicon_path}")
@@ -116,7 +122,7 @@ def cmd_count_freq(args: argparse.Namespace) -> int:
     freq_path = opts.get("freq", required=True)
 
     with text_reader(corpus_path) as stream:
-        tokens = (t for line in stream for t in vocab.tokenize(line))
+        tokens = chain.from_iterable(map(vocab.tokenize, stream))
         table = vocab.count_frequencies(tokens)
     vocab.write_frequencies(table, freq_path)
     print(f"distinct tokens: {len(table)} (total {table.total_tokens}) -> {freq_path}")

@@ -17,7 +17,8 @@ import enum
 import json
 import re
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ._fileio import read_records, write_records
 from .errors import ParseError
@@ -26,13 +27,15 @@ from .vocab import FrequencyTable
 SPELLING_MARKER = "spelling"
 
 # One alternative per delimiter kind instead of a backreference closer, so
-# that bracketed cross-reference links ("[fark]") close with "]".
+# that bracketed cross-reference links ("[fark]") close with "]". Each
+# group is named after its Delimiter member.
 _CANDIDATE_RE = re.compile(
-    r"spelling[^.,]* (?:'(?P<single>\w+)'|\"(?P<double>\w+)\"|\[(?P<bracket>\w+)\])"
+    r"spelling[^.,]* (?:'(?P<SINGLE_QUOTE>\w+)'|\"(?P<DOUBLE_QUOTE>\w+)\"|\[(?P<BRACKET>\w+)\])"
 )
 
 # Typographic quotes appear in web-scraped text; fold them before matching.
-_QUOTE_FOLD = str.maketrans({"\u2018": "'", "\u2019": "'", "\u201c": '"', "\u201d": '"'})
+# They are not ASCII, so ASCII text needs no folding.
+_QUOTE_FOLD = (("\u2018", "'"), ("\u2019", "'"), ("\u201c", '"'), ("\u201d", '"'))
 
 _NAME_RE = re.compile(r"\bname\b")
 
@@ -52,17 +55,22 @@ class Validation(enum.Enum):
     REJECTED_OTHER = "rejected_other"
 
 
-@dataclass(frozen=True)
-class DefinitionEntry:
-    """One dictionary record: an id, the headword, and the definition."""
+_ENTRY_FIELDS = [("entry_id", str), ("headword", str), ("definition_text", str)]
 
-    entry_id: str
-    headword: str
-    definition_text: str
 
-    def __post_init__(self):
-        if not self.definition_text:
-            raise ValueError(f"entry {self.entry_id!r} has an empty definition")
+class DefinitionEntry(NamedTuple("_Entry", _ENTRY_FIELDS)):
+    """One dictionary record: an id, the headword, and the definition.
+
+    A named tuple: a dump's records build faster and take less memory
+    than as a dataclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, entry_id: str, headword: str, definition_text: str):
+        if not definition_text:
+            raise ValueError(f"entry {entry_id!r} has an empty definition")
+        return tuple.__new__(cls, (entry_id, headword, definition_text))
 
 
 @dataclass
@@ -119,28 +127,26 @@ def extract_candidate(entry: DefinitionEntry) -> VariantPair | None:
     """Apply the template to one definition; first match wins.
 
     Headword and variant are folded to lowercase. Returns None when the
-    template does not match or the match points back at the headword.
+    template does not match, when the match points back at the headword,
+    or when the variant does not fold to a single word (``İ`` folds to
+    ``i`` and a combining dot).
     """
-    text = entry.definition_text.translate(_QUOTE_FOLD)
+    text = entry.definition_text
+    if not text.isascii():
+        for quote, plain in _QUOTE_FOLD:
+            text = text.replace(quote, plain)
     m = _CANDIDATE_RE.search(text)
     if m is None:
         return None
-    if m.group("single") is not None:
-        variant, delimiter = m.group("single"), Delimiter.SINGLE_QUOTE
-    elif m.group("double") is not None:
-        variant, delimiter = m.group("double"), Delimiter.DOUBLE_QUOTE
-    else:
-        variant, delimiter = m.group("bracket"), Delimiter.BRACKET
-    informal = entry.headword.lower()
-    formal = variant.lower()
-    if informal == formal:
+    try:
+        return VariantPair(
+            informal=entry.headword.lower(),
+            formal=m[m.lastgroup].lower(),
+            entry_id=entry.entry_id,
+            delimiter=Delimiter[m.lastgroup],
+        )
+    except ValueError:
         return None
-    return VariantPair(
-        informal=informal,
-        formal=formal,
-        entry_id=entry.entry_id,
-        delimiter=delimiter,
-    )
 
 
 def apply_filters(
@@ -159,21 +165,27 @@ def apply_filters(
     headword frequency below ``min_freq``. Raises LookupError when a
     pair's entry id is not resolvable.
     """
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be positive, got {min_freq}")
-    stats = ExtractionStats(
-        definitions_scanned=definitions_scanned,
-        spelling_hits=spelling_hits,
-        candidates_extracted=len(pairs),
-    )
-    kept: list[VariantPair] = []
+    named: set[str] = set()
     for pair in pairs:
         entry = entries_by_id.get(pair.entry_id)
         if entry is None:
             raise LookupError(f"unresolvable entry id: {pair.entry_id!r}")
+        if _NAME_RE.search(entry.definition_text.lower()):
+            named.add(pair.entry_id)
+    stats = ExtractionStats(definitions_scanned, spelling_hits)
+    return _cascade(pairs, named, freq, min_freq, stats)
+
+
+def _cascade(pairs, named, freq, min_freq, stats):
+    """The cascade; ``named`` holds the ids of definitions with "name"."""
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be positive, got {min_freq}")
+    stats.candidates_extracted = len(pairs)
+    kept: list[VariantPair] = []
+    for pair in pairs:
         if not pair.informal.isascii():
             stats.excluded_nonascii += 1
-        elif _NAME_RE.search(entry.definition_text.lower()):
+        elif pair.entry_id in named:
             pair.validation = Validation.REJECTED_NAME
             stats.excluded_name += 1
         elif freq[pair.informal] < min_freq:
@@ -190,27 +202,29 @@ def mine_pairs(
 ) -> tuple[list[VariantPair], ExtractionStats]:
     """Full pipeline: scan, extract, order by entry id, filter.
 
+    One pass lowercases each definition once, for both the "spelling"
+    scan and the "name" check; the template matches the text as it is.
     The kept pairs come out ordered by entry id, not by dump order.
     """
-    entries = list(entries)
-    by_id: dict[str, DefinitionEntry] = {}
+    seen: set[str] = set()
+    named: set[str] = set()
+    candidates: list[VariantPair] = []
+    hits = 0
     for entry in entries:
-        if entry.entry_id in by_id:
+        if entry.entry_id in seen:
             raise ValueError(f"duplicate entry id in dump: {entry.entry_id!r}")
-        by_id[entry.entry_id] = entry
-    hits = list(find_spelling_definitions(entries))
-    extracted = (extract_candidate(e) for e in hits)
-    candidates = sorted(
-        (p for p in extracted if p is not None), key=lambda p: p.entry_id
-    )
-    return apply_filters(
-        candidates,
-        by_id,
-        freq,
-        min_freq,
-        definitions_scanned=len(entries),
-        spelling_hits=len(hits),
-    )
+        seen.add(entry.entry_id)
+        lowered = entry.definition_text.lower()
+        if SPELLING_MARKER not in lowered:
+            continue
+        hits += 1
+        pair = extract_candidate(entry)
+        if pair is not None:
+            candidates.append(pair)
+            if _NAME_RE.search(lowered):
+                named.add(pair.entry_id)
+    candidates.sort(key=attrgetter("entry_id"))
+    return _cascade(candidates, named, freq, min_freq, ExtractionStats(len(seen), hits))
 
 
 # --- file formats ---------------------------------------------------------
@@ -227,18 +241,19 @@ def read_definitions(source) -> list[DefinitionEntry]:
     """Read a definitions dump. An empty file is an empty dump."""
     entries: list[DefinitionEntry] = []
     seen: set[str] = set()
-    for lineno, (entry_id, headword, definition) in read_records(source, 3):
-        if entry_id in seen:
-            raise ParseError(f"duplicate entry id {entry_id!r}", line=lineno)
-        if not definition:
-            raise ParseError(f"empty definition for {entry_id!r}", line=lineno)
-        seen.add(entry_id)
-        entries.append(DefinitionEntry(entry_id, headword, definition))
+    for lineno, fields in read_records(source, 3):
+        if fields[0] in seen:
+            raise ParseError(f"duplicate entry id {fields[0]!r}", line=lineno)
+        seen.add(fields[0])
+        try:
+            entries.append(DefinitionEntry(*fields))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     return entries
 
 
 def write_definitions(entries: Iterable[DefinitionEntry], sink) -> None:
-    write_records(sink, ((e.entry_id, e.headword, e.definition_text) for e in entries))
+    write_records(sink, entries)
 
 
 def write_pairs(pairs: Iterable[VariantPair], sink) -> None:

@@ -7,9 +7,11 @@ pair extraction.
 
 Membership tests fold both sides to lowercase, so the stored token sets
 are folded up front. The corpus tokenization used for lexicon building
-(lowercase, whitespace split, outer punctuation stripped, internal
-apostrophes and hyphens kept) is recorded in evaluation report headers
-since it is a toolkit choice, not an input property.
+and frequency counting is ``str.lower``, then a split on whitespace as
+``str.split()`` does it, then each token loses the characters at either
+end that are not ``str.isalnum`` (so internal apostrophes and hyphens
+stay). It is recorded in evaluation report headers since it is a toolkit
+choice, not an input property.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from ._fileio import read_records, text_reader, write_records, write_text
 from .errors import ParseError
@@ -30,6 +32,7 @@ log = logging.getLogger(__name__)
 TOKENIZATION_NOTE = (
     "lowercased, whitespace-split, outer non-alphanumerics stripped"
 )
+_ASCII_NON_ALNUM = "".join(c for c in map(chr, range(128)) if not c.isalnum())
 
 
 @dataclass(frozen=True)
@@ -66,16 +69,26 @@ class FrequencyTable:
         return len(self.counts)
 
 
-def tokenize(text: str) -> Iterator[str]:
-    """Corpus tokenization for lexicon building and frequency counting."""
+def tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, as a list: ``text.lower().split()``, each
+    stripped of its outer non-``isalnum`` characters, empty ones dropped.
+    Only a token with a non-ASCII non-alphanumeric at an end, once the
+    ASCII ones are stripped, takes the per-character loop."""
+    tokens = []
     for raw in text.lower().split():
-        start, end = 0, len(raw)
-        while start < end and not raw[start].isalnum():
-            start += 1
-        while end > start and not raw[end - 1].isalnum():
-            end -= 1
-        if start < end:
-            yield raw[start:end]
+        if not raw.isalnum():
+            raw = raw.strip(_ASCII_NON_ALNUM)
+            if raw and not (raw[0].isalnum() and raw[-1].isalnum()):
+                start, end = 0, len(raw)
+                while start < end and not raw[start].isalnum():
+                    start += 1
+                while end > start and not raw[end - 1].isalnum():
+                    end -= 1
+                raw = raw[start:end]
+            if not raw:
+                continue
+        tokens.append(raw)
+    return tokens
 
 
 def build_lexicon(
@@ -84,11 +97,14 @@ def build_lexicon(
     """Collect every token occurring at least ``min_count`` times.
 
     ``corpus`` is a pre-tokenized stream. Tokens are folded to lowercase
-    before counting. Raises ValueError on an empty corpus.
+    and counted together; each distinct token is folded once, after
+    counting. Raises ValueError on an empty corpus.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be positive, got {min_count}")
-    counts = Counter(token.lower() for token in corpus)
+    counts: Counter[str] = Counter()
+    for token, count in Counter(corpus).items():
+        counts[token.lower()] += count
     if not counts:
         raise ValueError("empty corpus")
     kept = frozenset(t for t, c in counts.items() if c >= min_count)
@@ -130,12 +146,8 @@ def write_lexicon(lexicon: FormalLexicon, sink) -> None:
 
 def count_frequencies(corpus: Iterable[str]) -> FrequencyTable:
     """Exact per-token counts; total_tokens is the stream length."""
-    counts = Counter()
-    total = 0
-    for token in corpus:
-        counts[token] += 1
-        total += 1
-    return FrequencyTable(counts=dict(counts), total_tokens=total)
+    counts = Counter(corpus)
+    return FrequencyTable(counts=dict(counts), total_tokens=sum(counts.values()))
 
 
 def load_frequencies(source) -> FrequencyTable:

@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
 import math
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -75,3 +77,78 @@ def forced_rank_setup(target_ranks: list[int], n_candidates: int):
         vectors[token] = list(slots[j]) + [ballast]
     pairs = [(f"inf{i}", targets[i]) for i in range(n_queries)]
     return vectors, pairs
+
+
+# --- references the optimized mining code is compared against -------------
+
+
+def reference_tokenize(text: str):
+    """The tokenizer as a plain per-character loop: lowercase, split on
+    whitespace, strip outer non-alphanumerics, drop empty tokens."""
+    for raw in text.lower().split():
+        start, end = 0, len(raw)
+        while start < end and not raw[start].isalnum():
+            start += 1
+        while end > start and not raw[end - 1].isalnum():
+            end -= 1
+        if start < end:
+            yield raw[start:end]
+
+
+def reference_counts(lines) -> tuple[dict[str, int], int]:
+    """Per-token counts and the stream length, counted one token at a time."""
+    counts: dict[str, int] = {}
+    total = 0
+    for line in lines:
+        for token in reference_tokenize(line):
+            counts[token] = counts.get(token, 0) + 1
+            total += 1
+    return counts, total
+
+
+def reference_lexicon(lines, min_count: int) -> frozenset[str]:
+    counts = Counter(token.lower() for line in lines for token in reference_tokenize(line))
+    return frozenset(t for t, c in counts.items() if c >= min_count)
+
+
+_REF_TEMPLATE = re.compile(r"spelling[^.,]* (?:'(\w+)'|\"(\w+)\"|\[(\w+)\])")
+_REF_QUOTES = str.maketrans({"\u2018": "'", "\u2019": "'", "\u201c": '"', "\u201d": '"'})
+_REF_DELIMITERS = ("single_quote", "double_quote", "bracket")
+
+
+def reference_mine(entries, counts: dict[str, int], min_freq: int):
+    """The extraction pipeline one stage at a time: a lowercased scan for
+    "spelling", the quote fold by ``str.translate`` on every hit, the
+    template on the folded text, an id-ordered sort, then the cascade, whose
+    "name" check lowercases the definition again.
+
+    A variant that does not fold to a single word is a template miss.
+    Returns the kept pairs as (informal, formal, entry_id, delimiter,
+    validation) tuples and the stats as a dict.
+    """
+    entries = list(entries)
+    by_id = {e.entry_id: e for e in entries}
+    hits = [e for e in entries if "spelling" in e.definition_text.lower()]
+    candidates = []
+    for e in hits:
+        m = _REF_TEMPLATE.search(e.definition_text.translate(_REF_QUOTES))
+        if m is None:
+            continue
+        informal, formal = e.headword.lower(), m[m.lastindex].lower()
+        if informal != formal and re.fullmatch(r"\w+", formal):
+            candidates.append((informal, formal, e.entry_id, _REF_DELIMITERS[m.lastindex - 1]))
+    candidates.sort(key=lambda c: c[2])
+    stats = dict.fromkeys(("excluded_name", "excluded_frequency", "excluded_nonascii"), 0)
+    stats.update(definitions_scanned=len(entries), spelling_hits=len(hits),
+                 candidates_extracted=len(candidates))
+    kept = []
+    for informal, formal, entry_id, delimiter in candidates:
+        if not informal.isascii():
+            stats["excluded_nonascii"] += 1
+        elif re.search(r"\bname\b", by_id[entry_id].definition_text.lower()):
+            stats["excluded_name"] += 1
+        elif counts.get(informal, 0) < min_freq:
+            stats["excluded_frequency"] += 1
+        else:
+            kept.append((informal, formal, entry_id, delimiter, "unvalidated"))
+    return kept, stats

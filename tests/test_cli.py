@@ -154,6 +154,26 @@ class TestExtractCommand:
         assert code == 0
         assert (tmp_path / "from_config.tsv").read_text(encoding="utf-8") == EXPECTED_PAIRS
 
+    def test_variant_folding_to_more_than_a_word_is_a_template_miss(self, tmp_path, capsys):
+        # "İ" lowercases to "i" plus a combining dot, which is not a word character.
+        defs = tmp_path / "defs.tsv"
+        defs.write_text(
+            'e1\tistanbul\tMisspelling of "İstanbul".\ne2\tsuxx\tA spelling of "Sucks".\n',
+            encoding="utf-8",
+        )
+        freq = tmp_path / "freq.tsv"
+        freq.write_text("istanbul\t500\nsuxx\t500\n", encoding="utf-8")
+        pairs = tmp_path / "pairs.tsv"
+        code, _, err = run(
+            capsys, "extract", "--defs", str(defs), "--freq", str(freq), "--pairs", str(pairs),
+        )
+        assert (code, err) == (0, "")
+        assert pairs.read_text(encoding="utf-8") == "suxx\tsucks\te2\tdouble_quote\tunvalidated\n"
+        assert (tmp_path / "pairs.tsv.stats").read_text(encoding="utf-8") == (
+            "definitions_scanned: 2\nspelling_hits: 2\ncandidates_extracted: 1\n"
+            "excluded_name: 0\nexcluded_frequency: 0\nexcluded_nonascii: 0\n"
+        )
+
 
 class TestVocabCommands:
     def test_build_vocab(self, tmp_path, capsys):
@@ -382,6 +402,8 @@ class TestEvaluateCommand:
 def test_bad_cutoffs_same_error_from_flag_and_config(
     tmp_path, capsys, command, option, value, message
 ):
+    """The same bad value fails alike from a flag and from the config file;
+    the message names the option, and the file when the value came from one."""
     emb, lex, pairs, report = write_eval_inputs(tmp_path)
     tsv = tmp_path / "r.tsv"
     tsv.write_text("ur\tyour\tscored\t1\tyour:0.993884\n", encoding="utf-8")
@@ -398,7 +420,8 @@ def test_bad_cutoffs_same_error_from_flag_and_config(
     cfg.write_text(f"{option} = {value}\n", encoding="utf-8")
     from_flag = run(capsys, command, *inputs, f"--{option}", value)
     from_config = run(capsys, command, *inputs, "--config", str(cfg))
-    assert from_flag == from_config == (1, "", f"error: {message}\n")
+    assert from_flag == (1, "", f"error: --{option}: {message}\n")
+    assert from_config == (1, "", f"error: {cfg}: {option}: {message}\n")
 
 
 class TestReportCommand:

@@ -3,9 +3,10 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from helpers import reference_mine
 from spellvar._fileio import _escape, _unescape, format_record, read_records, write_records
 from spellvar.errors import ParseError
 from spellvar.extract import (
@@ -315,6 +316,45 @@ class TestMinePairs:
         assert stats.definitions_scanned == 7
         assert stats.spelling_hits == 6
         assert stats.candidates_extracted == 5
+
+
+# Definitions for the reference comparison: the template's parts, each
+# drawn from near misses. The scan for "spelling" is case-folded and the
+# template is not, so "SPELLING of 'x'" is a hit but no candidate.
+# Typographic quotes come in otherwise ASCII text and next to other
+# non-ASCII characters. "İname" lowercases to "i", a combining dot and
+# "name", so it holds the word "name" only after lowercasing.
+DEFINITION = st.tuples(
+    st.one_of(st.text(max_size=3), st.sampled_from(("A ", "Mis", "The é ", "İname ", "NaMe: "))),
+    st.sampled_from(("spelling", "SPELLING", "Spelling", "Misspelling", "spell")),
+    st.sampled_from((" of", " of the word", "", ",", ".", " of é", " name", " \u2018or\u2019")),
+    st.sampled_from((" ", "", "  ")),
+    st.sampled_from(("'", '"', "[", "\u2018", "\u201c", "\u2019", "\u201d")),
+    st.sampled_from(("sucks", "Sucks", "İstanbul", "suxx", "Word", "\u212aelvin", "two words", "é", "x")),
+    st.sampled_from(("'", '"', "]", "\u2019", "\u201d", "\u2018", "\u201c")),
+    st.one_of(st.text(max_size=3), st.sampled_from((".", " name.", ", a NaMe", " İname", " renamed"))),
+).map("".join)
+HEADWORD = st.sampled_from(("suxx", "Word", "sucks", "x", "über", "İ", "istanbul", "k", "ñame"))
+COUNTS = {"suxx": 500, "word": 120, "sucks": 100, "x": 99, "über": 500, "k": 300}
+
+
+class TestMinePairsReference:
+    @seed(20261019)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 999), HEADWORD, DEFINITION), max_size=12,
+                 unique_by=lambda r: r[0]),
+        st.integers(1, 200),
+    )
+    def test_matches_stage_by_stage_reference(self, records, min_freq):
+        entries = [DefinitionEntry(f"e{i:03d}", head, text) for i, head, text in records]
+        kept, stats = mine_pairs(entries, FrequencyTable(COUNTS, sum(COUNTS.values())), min_freq)
+        expected_kept, expected_stats = reference_mine(entries, COUNTS, min_freq)
+        assert [
+            (p.informal, p.formal, p.entry_id, p.delimiter.value, p.validation.value)
+            for p in kept
+        ] == expected_kept
+        assert json.loads(stats.as_json()) == expected_stats
 
 
 class TestStatsRendering:

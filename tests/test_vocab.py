@@ -1,10 +1,11 @@
 import io
+from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import lexicon_of, pair
+from helpers import lexicon_of, pair, reference_counts, reference_lexicon, reference_tokenize
 from spellvar.errors import ParseError
 from spellvar.vocab import (
     FormalLexicon,
@@ -36,6 +37,44 @@ class TestTokenize:
     def test_empty(self):
         assert list(tokenize("")) == []
         assert list(tokenize("   \t\n ")) == []
+
+
+# Characters the tokenizer must treat exactly as the reference does: ASCII and
+# non-ASCII punctuation at either end of a token, apostrophes and hyphens
+# inside one, "İ" (lowercases to two code points, the second not
+# alphanumeric), the Kelvin sign (lowercases to ASCII "k"), "Σ" (final form
+# at a word end), and separators str.split() splits on besides the ASCII
+# blanks: NBSP, 0x1c-0x1f, U+0085 and U+2028.
+TRICKY = "aZ9 '-.,!?\"()[]—–«»¿¡’“”…·\u0307\u00a0\x1c\x1d\x1e\x1f\x85\u2028İ\u212aΣé"
+LINE = st.one_of(
+    st.text(alphabet=st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=30),
+    st.binary(max_size=30).map(lambda b: b.decode("utf-8", "surrogateescape")),
+)
+
+
+class TestTokenizerReference:
+    """tokenize, count_frequencies and build_lexicon against the per-character loop."""
+
+    @seed(20261018)
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(LINE, max_size=6), st.integers(1, 3))
+    def test_matches_per_character_reference(self, lines, min_count):
+        for line in lines:
+            assert tokenize(line) == list(reference_tokenize(line))
+        counts, total = reference_counts(lines)
+        table = count_frequencies(chain.from_iterable(map(tokenize, lines)))
+        assert (table.counts, table.total_tokens) == (counts, total)
+        if not total:
+            with pytest.raises(ValueError, match="empty corpus"):
+                build_lexicon(chain.from_iterable(map(tokenize, lines)), min_count)
+            return
+        lexicon = build_lexicon(chain.from_iterable(map(tokenize, lines)), min_count)
+        assert lexicon.tokens == reference_lexicon(lines, min_count)
+
+    def test_slow_path_cases(self):
+        text = "«Word» —x— ’tis ΣΑΣ \udcffa\udcff İ \u212a a-\u0307 \u00a0-b-\x85"
+        assert tokenize(text) == list(reference_tokenize(text))
+        assert tokenize(text) == ["word", "x", "tis", "σας", "a", "i", "k", "a", "b"]
 
 
 class TestBuildLexicon:
