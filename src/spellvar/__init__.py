@@ -34,9 +34,7 @@ from .extract import (
     ExtractionStats,
     Validation,
     VariantPair,
-    apply_filters,
     extract_candidate,
-    find_spelling_definitions,
     mine_pairs,
     read_definitions,
     read_pairs,

@@ -100,10 +100,6 @@ class EvalReport:
     def accuracy_at(self) -> dict[int, float]:
         return {c: h / self.scored_count for c, h in self.hits_at.items()}
 
-    @property
-    def no_scored_pairs(self) -> bool:
-        return self.scored_count == 0
-
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(first, inverse)`` with ``rows[first][inverse]`` equal to ``rows``: rows
@@ -326,7 +322,7 @@ def render_report_text(report: EvalReport) -> str:
         f"missing_informal: {report.missing_informal}",
         f"missing_formal: {report.missing_formal}",
     ]
-    if report.no_scored_pairs:
+    if not report.scored_count:
         lines.append("warning: no scored pairs, accuracy undefined")
     n = report.scored_count
     for c, h in sorted(report.hits_at.items()):

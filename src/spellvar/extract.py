@@ -7,8 +7,9 @@ bracketed single word. Candidates then pass a cascade that drops
 non-ASCII headwords, definitions containing the word "name", and
 headwords too rare in an informal-corpus frequency table.
 
-Extraction is deterministic: the pipeline orders its output by entry id,
-whatever the order of the dump.
+``mine_pairs`` is the one pipeline: it runs the scan, the template and
+the cascade in a single pass. Extraction is deterministic: it orders its
+output by entry id, whatever the order of the dump.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import re
 from dataclasses import asdict, dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._fileio import read_records, write_records
 from .errors import ParseError
@@ -84,6 +85,8 @@ class VariantPair:
     validation: Validation = Validation.UNVALIDATED
 
     def __post_init__(self):
+        if not self.informal:
+            raise ValueError("empty informal token")
         if self.informal.lower() == self.formal.lower():
             raise ValueError(
                 f"degenerate pair: {self.informal!r} equals its variant"
@@ -94,11 +97,7 @@ class VariantPair:
 
 @dataclass
 class ExtractionStats:
-    """Tallies for one extraction run.
-
-    ``definitions_scanned`` and ``spelling_hits`` describe the scan stage
-    and are filled by the pipeline, not by ``apply_filters`` alone.
-    """
+    """Tallies for one extraction run: the scan, then the cascade."""
 
     definitions_scanned: int = 0
     spelling_hits: int = 0
@@ -114,22 +113,13 @@ class ExtractionStats:
         return json.dumps(asdict(self), sort_keys=True) + "\n"
 
 
-def find_spelling_definitions(
-    entries: Iterable[DefinitionEntry],
-) -> Iterator[DefinitionEntry]:
-    """Yield entries whose definition contains "spelling", case-folded."""
-    for entry in entries:
-        if SPELLING_MARKER in entry.definition_text.lower():
-            yield entry
-
-
 def extract_candidate(entry: DefinitionEntry) -> VariantPair | None:
     """Apply the template to one definition; first match wins.
 
     Headword and variant are folded to lowercase. Returns None when the
-    template does not match, when the match points back at the headword,
-    or when the variant does not fold to a single word (``İ`` folds to
-    ``i`` and a combining dot).
+    template does not match, when the headword is empty, when the match
+    points back at the headword, or when the variant does not fold to a
+    single word (``İ`` folds to ``i`` and a combining dot).
     """
     text = entry.definition_text
     if not text.isascii():
@@ -149,67 +139,26 @@ def extract_candidate(entry: DefinitionEntry) -> VariantPair | None:
         return None
 
 
-def apply_filters(
-    pairs: list[VariantPair],
-    entries_by_id: Mapping[str, DefinitionEntry],
-    freq: FrequencyTable,
-    min_freq: int,
-    *,
-    definitions_scanned: int = 0,
-    spelling_hits: int = 0,
-) -> tuple[list[VariantPair], ExtractionStats]:
-    """Run the exclusion cascade over extracted candidates.
-
-    Checks per pair, first failure claims it: non-ASCII headword, source
-    definition containing the word "name" (marks the pair rejected_name),
-    headword frequency below ``min_freq``. Raises LookupError when a
-    pair's entry id is not resolvable.
-    """
-    named: set[str] = set()
-    for pair in pairs:
-        entry = entries_by_id.get(pair.entry_id)
-        if entry is None:
-            raise LookupError(f"unresolvable entry id: {pair.entry_id!r}")
-        if _NAME_RE.search(entry.definition_text.lower()):
-            named.add(pair.entry_id)
-    stats = ExtractionStats(definitions_scanned, spelling_hits)
-    return _cascade(pairs, named, freq, min_freq, stats)
-
-
-def _cascade(pairs, named, freq, min_freq, stats):
-    """The cascade; ``named`` holds the ids of definitions with "name"."""
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be positive, got {min_freq}")
-    stats.candidates_extracted = len(pairs)
-    kept: list[VariantPair] = []
-    for pair in pairs:
-        if not pair.informal.isascii():
-            stats.excluded_nonascii += 1
-        elif pair.entry_id in named:
-            pair.validation = Validation.REJECTED_NAME
-            stats.excluded_name += 1
-        elif freq[pair.informal] < min_freq:
-            stats.excluded_frequency += 1
-        else:
-            kept.append(pair)
-    return kept, stats
-
-
 def mine_pairs(
     entries: Iterable[DefinitionEntry],
     freq: FrequencyTable,
     min_freq: int,
 ) -> tuple[list[VariantPair], ExtractionStats]:
-    """Full pipeline: scan, extract, order by entry id, filter.
+    """The extraction pipeline, in one pass over ``entries``.
 
-    One pass lowercases each definition once, for both the "spelling"
-    scan and the "name" check; the template matches the text as it is.
-    The kept pairs come out ordered by entry id, not by dump order.
+    Each definition is lowercased once, for both the "spelling" scan and
+    the "name" check; the template matches the text as it is. Each
+    candidate then meets the exclusion cascade, where the first failed
+    check claims it: non-ASCII headword, a definition holding the word
+    "name", headword frequency below ``min_freq``. The kept pairs come out
+    ordered by entry id, so a dump gives the same output in any order;
+    a repeated entry id is a ValueError.
     """
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be positive, got {min_freq}")
     seen: set[str] = set()
-    named: set[str] = set()
-    candidates: list[VariantPair] = []
-    hits = 0
+    stats = ExtractionStats()
+    kept: list[VariantPair] = []
     for entry in entries:
         if entry.entry_id in seen:
             raise ValueError(f"duplicate entry id in dump: {entry.entry_id!r}")
@@ -217,14 +166,22 @@ def mine_pairs(
         lowered = entry.definition_text.lower()
         if SPELLING_MARKER not in lowered:
             continue
-        hits += 1
+        stats.spelling_hits += 1
         pair = extract_candidate(entry)
-        if pair is not None:
-            candidates.append(pair)
-            if _NAME_RE.search(lowered):
-                named.add(pair.entry_id)
-    candidates.sort(key=attrgetter("entry_id"))
-    return _cascade(candidates, named, freq, min_freq, ExtractionStats(len(seen), hits))
+        if pair is None:
+            continue
+        stats.candidates_extracted += 1
+        if not pair.informal.isascii():
+            stats.excluded_nonascii += 1
+        elif _NAME_RE.search(lowered):
+            stats.excluded_name += 1
+        elif freq[pair.informal] < min_freq:
+            stats.excluded_frequency += 1
+        else:
+            kept.append(pair)
+    stats.definitions_scanned = len(seen)
+    kept.sort(key=attrgetter("entry_id"))
+    return kept, stats
 
 
 # --- file formats ---------------------------------------------------------
@@ -238,13 +195,10 @@ def mine_pairs(
 
 
 def read_definitions(source) -> list[DefinitionEntry]:
-    """Read a definitions dump. An empty file is an empty dump."""
+    """Read a definitions dump. An empty file is an empty dump; ids are
+    checked for repeats by ``mine_pairs``, which takes any iterable."""
     entries: list[DefinitionEntry] = []
-    seen: set[str] = set()
     for lineno, fields in read_records(source, 3):
-        if fields[0] in seen:
-            raise ParseError(f"duplicate entry id {fields[0]!r}", line=lineno)
-        seen.add(fields[0])
         try:
             entries.append(DefinitionEntry(*fields))
         except ValueError as exc:

@@ -5,8 +5,9 @@ neighbor ranking is restricted to it. The frequency table is an occurrence
 count over an informal corpus sample, used to drop rare headwords during
 pair extraction.
 
-Membership tests fold both sides to lowercase, so the stored token sets
-are folded up front. The corpus tokenization used for lexicon building
+The stored lexicon is folded to lowercase, and membership is exact: a
+token is in the lexicon only as stored, so ``Your`` is not a formal token
+while ``your`` is. The corpus tokenization used for lexicon building
 and frequency counting is ``str.lower``, then a split on whitespace as
 ``str.split()`` does it, then each token loses the characters at either
 end that are not ``str.isalnum`` (so internal apostrophes and hyphens
@@ -44,7 +45,7 @@ class FormalLexicon:
     duplicates: int = 0
 
     def __contains__(self, token: str) -> bool:
-        return token.lower() in self.tokens
+        return token in self.tokens
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -52,15 +53,13 @@ class FormalLexicon:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Exact token counts from a corpus sample.
-
-    ``total_tokens`` is the stream length, which may exceed the sum of
-    stored counts when a table was loaded from a file that floored rare
-    tokens away.
-    """
+    """Exact token counts from a corpus sample."""
 
     counts: dict[str, int] = field(default_factory=dict)
-    total_tokens: int = 0
+
+    @property
+    def total_tokens(self) -> int:
+        return sum(self.counts.values())
 
     def __getitem__(self, token: str) -> int:
         return self.counts.get(token, 0)
@@ -146,8 +145,7 @@ def write_lexicon(lexicon: FormalLexicon, sink) -> None:
 
 def count_frequencies(corpus: Iterable[str]) -> FrequencyTable:
     """Exact per-token counts; total_tokens is the stream length."""
-    counts = Counter(corpus)
-    return FrequencyTable(counts=dict(counts), total_tokens=sum(counts.values()))
+    return FrequencyTable(counts=dict(Counter(corpus)))
 
 
 def load_frequencies(source) -> FrequencyTable:
@@ -161,7 +159,7 @@ def load_frequencies(source) -> FrequencyTable:
         if count < 1:
             raise ParseError(f"count must be >= 1, got {count}", line=lineno)
         counts[token] = count
-    return FrequencyTable(counts=counts, total_tokens=sum(counts.values()))
+    return FrequencyTable(counts=counts)
 
 
 def write_frequencies(table: FrequencyTable, sink) -> None:

@@ -25,8 +25,6 @@ from spellvar.evaluate import (
 )
 from spellvar.extract import (
     DefinitionEntry,
-    extract_candidate,
-    find_spelling_definitions,
     mine_pairs,
     read_definitions,
     write_pairs,
@@ -85,10 +83,13 @@ def test_criterion_1_extraction_fixture(tmp_path):
         ]
 
         entries = {e.entry_id: e for e in read_definitions(DATA / "definitions_sample.tsv")}
-        hits = {e.entry_id for e in find_spelling_definitions(entries.values())}
-        assert "ud06" in hits  # "neice": marker present, variant unquoted
-        assert extract_candidate(entries["ud06"]) is None
-        assert "ud07" not in hits  # "definately": definition lacks the marker
+        freq = FrequencyTable()
+        # "neice": marker present, variant unquoted
+        _, stats = mine_pairs([entries["ud06"]], freq, 1)
+        assert (stats.spelling_hits, stats.candidates_extracted) == (1, 0)
+        # "definately": definition lacks the marker
+        _, stats = mine_pairs([entries["ud07"]], freq, 1)
+        assert stats.spelling_hits == 0
 
 
 def _random_dump(rng):
@@ -124,7 +125,7 @@ def _random_dump(rng):
         )
         if rng.random() < 0.7:
             counts[head.lower()] = int(rng.integers(1, 200))
-    freq = FrequencyTable(counts=counts, total_tokens=sum(counts.values()))
+    freq = FrequencyTable(counts=counts)
     min_freq = int(rng.choice([1, 50, 100, 150]))
     return entries, freq, min_freq
 

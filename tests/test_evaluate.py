@@ -87,10 +87,18 @@ class TestRankFormalNeighbors:
         top = rank_formal_neighbors(table, "ur", lex, k=5)
         assert [t for t, _ in top] == ["your"]
 
-    def test_membership_folds_but_vocabulary_is_case_sensitive(self):
-        table = make_table({"ur": [1.0, 0.0], "Your": [0.9, 0.1]})
-        top = rank_formal_neighbors(table, "ur", lexicon_of("your"), k=5)
-        assert [t for t, _ in top] == ["Your"]
+    def test_membership_is_exact_so_case_twins_stay_out(self):
+        # "Your" is nearer to "ur" than "your" is, but only "your" is a
+        # lexicon token as stored; every ranking path leaves "Your" out
+        table = make_table(
+            {"ur": [1.0, 0.0], "Your": [0.95, 0.05], "your": [0.9, 0.1], "other": [0.0, 1.0]}
+        )
+        lex = lexicon_of("your", "other")
+        assert [t for t, _ in rank_formal_neighbors(table, "ur", lex, k=5)] == ["your", "other"]
+        assert [t for t, _ in brute_force_rank(table, "ur", lex)] == ["your", "other"]
+        report = evaluate_pairs(normalize(table), [pair("ur", "your")], lex, EvalConfig())
+        assert report.per_pair[0].rank == 1
+        assert report.candidate_count == 2
 
     def test_informal_missing(self):
         table = make_table(UR_TABLE)
@@ -296,7 +304,7 @@ class TestEvaluatePairs:
         report = evaluate_pairs(
             table, [pair("ghost", "b")], lexicon_of("b"), EvalConfig()
         )
-        assert report.no_scored_pairs is True
+        assert report.scored_count == 0
         assert report.accuracy_at == {}
         assert "warning: no scored pairs" in render_report_text(report)
 

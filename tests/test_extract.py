@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import reference_mine
+from spellvar.cli import main
 from spellvar._fileio import _escape, _unescape, format_record, read_records, write_records
 from spellvar.errors import ParseError
 from spellvar.extract import (
@@ -15,9 +16,7 @@ from spellvar.extract import (
     ExtractionStats,
     Validation,
     VariantPair,
-    apply_filters,
     extract_candidate,
-    find_spelling_definitions,
     mine_pairs,
     read_definitions,
     read_pairs,
@@ -45,18 +44,26 @@ def entry(definition, headword="head", entry_id="e1"):
     return DefinitionEntry(entry_id=entry_id, headword=headword, definition_text=definition)
 
 
+def spelling_hits(entries) -> int:
+    return mine_pairs(entries, FrequencyTable(), 1)[1].spelling_hits
+
+
 class TestFindSpellingDefinitions:
+    """The "spelling" scan, as ``mine_pairs`` counts it."""
+
     def test_substring_case_folded(self):
         entries = [
-            entry('[Demoscene] spelling of "Sucks".', headword="suxx"),
-            entry("The wrong way to spell definitely.", headword="definately"),
-            entry("A common MISSPELLING of the word niece.", headword="neice"),
+            entry('[Demoscene] spelling of "Sucks".', headword="suxx", entry_id="e1"),
+            entry("The wrong way to spell definitely.", headword="definately", entry_id="e2"),
+            entry("A common MISSPELLING of the word niece.", headword="neice", entry_id="e3"),
         ]
-        hits = list(find_spelling_definitions(entries))
-        assert [e.headword for e in hits] == ["suxx", "neice"]
+        assert [e.headword for e in entries if spelling_hits([e])] == ["suxx", "neice"]
+        assert spelling_hits(entries) == 2
 
     def test_empty(self):
-        assert list(find_spelling_definitions([])) == []
+        kept, stats = mine_pairs([], FrequencyTable(), 1)
+        assert kept == []
+        assert (stats.definitions_scanned, stats.spelling_hits) == (0, 0)
 
 
 class TestExtractCandidate:
@@ -178,13 +185,12 @@ def run_filters(defs_and_freqs, min_freq=100):
         entries.append(entry(definition, headword=head, entry_id=f"e{i}"))
         if count:
             counts[head.lower()] = count
-    pairs = [p for e in entries if (p := extract_candidate(e)) is not None]
-    by_id = {e.entry_id: e for e in entries}
-    freq = FrequencyTable(counts=counts, total_tokens=sum(counts.values()))
-    return apply_filters(pairs, by_id, freq, min_freq)
+    return mine_pairs(entries, FrequencyTable(counts=counts), min_freq)
 
 
 class TestApplyFilters:
+    """The exclusion cascade, as ``mine_pairs`` runs it."""
+
     def test_all_pass(self):
         kept, stats = run_filters([("suxx", 'A spelling of "Sucks".', 500)])
         assert [p.informal for p in kept] == ["suxx"]
@@ -209,12 +215,6 @@ class TestApplyFilters:
         kept, stats = run_filters([("jimbo", 'NAME variant spelling of "James".', 500)])
         assert kept == []
         assert stats.excluded_name == 1
-
-    def test_rejected_name_marked_on_pair(self):
-        e = entry('A spelling of "James". A name.', headword="jimbo", entry_id="e0")
-        pair = extract_candidate(e)
-        apply_filters([pair], {"e0": e}, FrequencyTable({"jimbo": 500}, 500), 100)
-        assert pair.validation is Validation.REJECTED_NAME
 
     def test_frequency_boundary(self):
         kept, stats = run_filters(
@@ -260,20 +260,19 @@ class TestApplyFilters:
         )
         assert len(kept) == 1
 
-    def test_unresolvable_entry_id(self):
-        pair = VariantPair("suxx", "sucks", "ghost", Delimiter.DOUBLE_QUOTE)
-        with pytest.raises(LookupError, match="ghost"):
-            apply_filters([pair], {}, FrequencyTable({}, 0), 100)
-
     def test_bad_min_freq(self):
-        with pytest.raises(ValueError):
-            apply_filters([], {}, FrequencyTable({}, 0), 0)
+        with pytest.raises(ValueError, match="min_freq"):
+            mine_pairs([], FrequencyTable(), 0)
+
+    def test_empty_headword_never_kept(self):
+        # a frequency file may count the empty token; the pair is a template miss
+        kept, stats = run_filters([("", 'A spelling of "sucks".', 500)], min_freq=1)
+        assert kept == []
+        assert (stats.spelling_hits, stats.candidates_extracted) == (1, 0)
 
 
 class TestMinePairs:
-    FREQ = FrequencyTable(
-        counts={"alpha": 500, "beta": 500, "gamma": 500}, total_tokens=1500
-    )
+    FREQ = FrequencyTable(counts={"alpha": 500, "beta": 500, "gamma": 500})
 
     def entries(self):
         return [
@@ -348,7 +347,7 @@ class TestMinePairsReference:
     )
     def test_matches_stage_by_stage_reference(self, records, min_freq):
         entries = [DefinitionEntry(f"e{i:03d}", head, text) for i, head, text in records]
-        kept, stats = mine_pairs(entries, FrequencyTable(COUNTS, sum(COUNTS.values())), min_freq)
+        kept, stats = mine_pairs(entries, FrequencyTable(COUNTS), min_freq)
         expected_kept, expected_stats = reference_mine(entries, COUNTS, min_freq)
         assert [
             (p.informal, p.formal, p.entry_id, p.delimiter.value, p.validation.value)
@@ -394,9 +393,17 @@ class TestDefinitionsIO:
         with pytest.raises(ParseError, match="line 2"):
             read_definitions(b"e1\thead\tdef text\ne2\tonly-two-fields\n")
 
-    def test_duplicate_id_error(self):
-        with pytest.raises(ParseError, match="line 2"):
-            read_definitions(b"e1\ta\tfirst def\ne1\tb\tsecond def\n")
+    def test_duplicate_id_error(self, tmp_path, capsys):
+        defs = tmp_path / "defs.tsv"
+        defs.write_bytes(b'e1\ta\tA spelling of "x".\ne1\tb\tsecond def\n')
+        freq = tmp_path / "freq.tsv"
+        freq.write_bytes(b"a\t500\n")
+        pairs = tmp_path / "pairs.tsv"
+        code = main(["extract", "--defs", str(defs), "--freq", str(freq),
+                     "--pairs", str(pairs), "--min-freq", "1"])
+        assert code == 1
+        assert "duplicate entry id in dump: 'e1'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["defs.tsv", "freq.tsv"]
 
     def test_empty_definition_error(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -458,6 +465,11 @@ class TestPairsIO:
     def test_bad_validation_value(self):
         with pytest.raises(ParseError, match="line 1"):
             read_pairs(b"suxx\tsucks\te1\tdouble_quote\tmaybe\n")
+
+    def test_empty_informal_rejected(self):
+        with pytest.raises(ParseError, match="line 2: empty informal"):
+            read_pairs(b"suxx\tsucks\te1\tdouble_quote\tunvalidated\n"
+                       b"\tx\te2\tdouble_quote\tunvalidated\n")
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
