@@ -5,14 +5,7 @@ dumps, then scores word embeddings by how highly each informal token ranks
 its formal counterpart among formal-lexicon neighbors (accuracy@k).
 """
 
-from .embeddings import (
-    EmbeddingTable,
-    cosine,
-    load_embeddings,
-    normalize,
-    vector_of,
-    write_embeddings,
-)
+from .embeddings import EmbeddingTable, cosine, load_embeddings, normalize
 from .errors import (
     DegenerateVectorError,
     MissingTokenError,
@@ -38,7 +31,6 @@ from .extract import (
     mine_pairs,
     read_definitions,
     read_pairs,
-    write_definitions,
     write_pairs,
 )
 from .vocab import (

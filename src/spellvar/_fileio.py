@@ -7,9 +7,10 @@ Only paths are opened (and closed) here. Text is UTF-8 with
 ``surrogateescape``: a byte that is not UTF-8 reads as a lone surrogate and
 is written back as the same byte. A path is written through a sibling
 temporary file that replaces it only once the whole output is written, so a
-failed write leaves the old file as it was. Binary streams handed to the
-text helpers get a UTF-8 view that is detached on exit, so the caller's
-stream stays open.
+failed write leaves the old file as it was; ``binary_writers`` extends that
+to every output of one command. Binary streams handed to the text helpers
+get a UTF-8 view that is detached on exit, so the caller's stream stays
+open.
 
 Records. A record is one line of tab-separated fields. In every field a
 backslash, tab, line feed and carriage return are written ``\\\\``, ``\\t``,
@@ -25,7 +26,7 @@ import io
 import os
 import re
 import stat
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -92,6 +93,14 @@ def binary_writer(sink):
     except BaseException:
         os.remove(temp)
         raise
+
+
+@contextmanager
+def binary_writers(*sinks):
+    """A ``binary_writer`` stream per sink. Every stream is written before
+    any path is replaced, so a failure replaces none of them."""
+    with ExitStack() as stack:
+        yield [stack.enter_context(binary_writer(sink)) for sink in sinks]
 
 
 @contextmanager

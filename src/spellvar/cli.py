@@ -17,7 +17,7 @@ from itertools import chain
 from . import evaluate as ev
 from . import extract as ex
 from . import vocab
-from ._fileio import text_reader, write_text
+from ._fileio import binary_writers, text_reader, write_text
 from .embeddings import load_embeddings, normalize
 from .errors import SpellvarError
 
@@ -94,9 +94,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
     freq = vocab.load_frequencies(freq_path)
     kept, stats = ex.mine_pairs(entries, freq, min_freq)
 
-    ex.write_pairs(kept, pairs_path)
-    write_text(pairs_path + ".stats", stats.as_text())
-    write_text(pairs_path + ".stats.json", stats.as_json())
+    outputs = (pairs_path, pairs_path + ".stats", pairs_path + ".stats.json")
+    with binary_writers(*outputs) as (pairs_out, stats_out, json_out):
+        ex.write_pairs(kept, pairs_out)
+        write_text(stats_out, stats.as_text())
+        write_text(json_out, stats.as_json())
     print(stats.as_text(), end="")
     print(f"pairs kept: {len(kept)} -> {pairs_path}")
     return 0
@@ -110,7 +112,7 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
 
     with text_reader(corpus_path) as stream:
         tokens = chain.from_iterable(map(vocab.tokenize, stream))
-        lexicon = vocab.build_lexicon(tokens, min_count, source_label=corpus_path)
+        lexicon = vocab.build_lexicon(tokens, min_count)
     vocab.write_lexicon(lexicon, lexicon_path)
     print(f"lexicon tokens: {len(lexicon)} -> {lexicon_path}")
     return 0
@@ -143,7 +145,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = ev.EvalConfig(k=max(cutoffs), cutoffs=cutoffs, exclude_self=exclude_self)
 
     pairs = ex.read_pairs(pairs_path)
-    lexicon = vocab.load_lexicon(lexicon_path, source_label=lexicon_path)
+    lexicon = vocab.load_lexicon(lexicon_path)
     table = normalize(load_embeddings(embeddings_path, format=fmt))
 
     retained, removed = vocab.filter_pairs_by_lexicon(pairs, lexicon)

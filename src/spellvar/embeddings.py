@@ -6,15 +6,16 @@ line), keeps vectors in a contiguous float32 matrix, and serves lookups
 and cosine similarities for the ranking code.
 
 Tokens are treated as opaque byte sequences split on single spaces;
-non-UTF-8 bytes survive a load/write round trip via surrogateescape.
+a non-UTF-8 byte reads as a lone surrogate (surrogateescape), so it
+encodes back to the same byte.
 A table is immutable once built and safe to share across threads.
 
-Loading streams the source: it is read ``CHUNK_BYTES`` at a time, and its
-records are parsed ``BLOCK_LINES`` at a time, each block with one
-``np.loadtxt`` call and cast to float32 as it is parsed. So beside the
-matrix the loader holds one chunk and one block of text, however large the
-file. Values are parsed exactly as ``float()`` parses them, and must be
-finite in float32: a non-numeric value, a NaN or infinity, or a value
+Loading streams the source: it is read line by line through
+``_fileio.text_reader``, and its records are parsed ``BLOCK_LINES`` at a
+time, each block with one ``np.loadtxt`` call and cast to float32 as it is
+parsed. So beside the matrix the loader holds one block of text, however
+large the file. Values are parsed exactly as ``float()`` parses them, and
+must be finite in float32: a non-numeric value, a NaN or infinity, or a value
 past float32's range is a ParseError naming its line.
 """
 
@@ -27,14 +28,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._fileio import UTF8, binary_reader, binary_writer
+from ._fileio import UTF8, text_reader
 from .errors import DegenerateVectorError, ParseError
 
 log = logging.getLogger(__name__)
 
 NORM_TOLERANCE = 1e-6  # unit-norm slack for the normalized-table invariant
 BLOCK_LINES = 4096  # records parsed per numpy call
-CHUNK_BYTES = 1 << 20  # bytes read from the source at a time
 
 
 @dataclass(frozen=True)
@@ -150,20 +150,6 @@ def _loadtxt_reads_as_float(values: list[bytes | None]) -> bool:
     return not any(byte in text for byte in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
 
 
-def _read_lines(stream) -> Iterator[bytes]:
-    """The lines of a binary stream, split as ``bytes.splitlines()`` splits
-    (at LF, CR or CRLF), read ``CHUNK_BYTES`` at a time."""
-    rest = b""
-    while chunk := stream.read(CHUNK_BYTES):
-        chunk = rest + chunk
-        # A CR at the end may be the first half of a CRLF: keep it for the next read.
-        end = len(chunk) - chunk.endswith(b"\r")
-        cut = max(chunk.rfind(b"\n", 0, end), chunk.rfind(b"\r", 0, end)) + 1
-        rest = chunk[cut:]
-        yield from chunk[:cut].splitlines()
-    yield from rest.splitlines()
-
-
 def _records(lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, bytes, bytes | None]]:
     """``(line number, token, values text)`` per non-blank line; the text is
     None for a line with no space."""
@@ -181,13 +167,14 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     (first line is ``count dim``). Duplicate tokens keep the first
     occurrence and are tallied on the returned table.
 
-    The source is read in a stream, ``CHUNK_BYTES`` at a time, and parsed
-    ``BLOCK_LINES`` records at a time with one numpy call per block. Each
-    value is parsed as ``float()`` parses it and stored as float32; a value
-    that is not finite, or that does not fit in float32, is a ParseError
-    naming its line, and the first bad line in the file is the one named.
-    Only the matrix grows with the file: beside it the loader holds one
-    chunk and one block of text.
+    The source is read line by line through ``text_reader``, each line split
+    as ``bytes.splitlines()`` splits (at LF, CR or CRLF) and turned back into
+    its bytes, and parsed ``BLOCK_LINES`` records at a time with one numpy
+    call per block. Each value is parsed as ``float()`` parses it and stored
+    as float32; a value that is not finite, or that does not fit in float32,
+    is a ParseError naming its line, and the first bad line in the file is
+    the one named. Only the matrix grows with the file: beside it the loader
+    holds one block of text.
     """
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
@@ -196,8 +183,8 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     seen: set[str] = set()
     matrix = bytearray()  # the float32 rows, grown in place block by block
     duplicates = 0
-    with binary_reader(source) as stream:
-        lines = enumerate(_read_lines(stream), start=1)
+    with text_reader(source) as stream:
+        lines = enumerate((line.rstrip("\n").encode(**UTF8) for line in stream), start=1)
         if format == "headered":
             _, line = next(lines, (1, None))
             if line is None:
@@ -248,22 +235,6 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     )
 
 
-def write_embeddings(table: EmbeddingTable, sink, format: str = "plain") -> None:
-    """Serialize a table back to the text interchange format.
-
-    Values are written with full float precision, so load -> write -> load
-    reproduces the stored float32 matrix exactly.
-    """
-    if format not in ("plain", "headered"):
-        raise ValueError(f"unknown embedding format: {format!r}")
-    with binary_writer(sink) as stream:
-        if format == "headered":
-            stream.write(f"{len(table)} {table.dimension}\n".encode("ascii"))
-        for token, row in zip(table.vocabulary, table.matrix):
-            values = b" ".join(repr(float(v)).encode("ascii") for v in row)
-            stream.write(token.encode(**UTF8) + b" " + values + b"\n")
-
-
 def normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Return a copy with every nonzero row scaled to unit Euclidean norm.
 
@@ -283,12 +254,6 @@ def normalize(table: EmbeddingTable) -> EmbeddingTable:
         normalized=True,
         duplicates=table.duplicates,
     )
-
-
-def vector_of(table: EmbeddingTable, token: str) -> np.ndarray | None:
-    """The stored row for ``token`` (case-sensitive), or None if absent."""
-    i = table.index.get(token)
-    return None if i is None else table.matrix[i]
 
 
 def cosine(u: Iterable[float], v: Iterable[float]) -> float:

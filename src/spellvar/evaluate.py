@@ -28,7 +28,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._fileio import format_record, join_items, read_records, split_items, write_text
+from ._fileio import (
+    binary_writers, format_record, join_items, read_records, split_items, write_text,
+)
 from .embeddings import EmbeddingTable, cosine
 from .errors import DegenerateVectorError, MissingTokenError, ParseError
 from .extract import VariantPair
@@ -37,7 +39,6 @@ from .vocab import TOKENIZATION_NOTE, FormalLexicon
 DEFAULT_CUTOFFS = (1, 5, 10, 20)
 # Queries per matrix product. A constant: it must not follow the thread count.
 BLOCK = 64
-_HASH_MULTIPLIER = np.int64(-0x61C8864680B583EB)  # 2**64 / golden ratio, odd
 
 
 @dataclass(frozen=True)
@@ -103,13 +104,10 @@ class EvalReport:
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(first, inverse)`` with ``rows[first][inverse]`` equal to ``rows``: rows
-    grouped by a 64-bit hash of their bits, or by ``np.unique`` on a collision."""
-    bits = rows.view(f"i{rows.itemsize}").astype(np.int64)
-    keys = bits @ (np.arange(1, 2 * bits.shape[1], 2, dtype=np.int64) * _HASH_MULTIPLIER)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if len(first) < len(rows) and not np.array_equal(rows[first][inverse], rows):
-        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
+    grouped by their exact bits, each row's bytes viewed as one value."""
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}")
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return first, inverse
 
 
 class _Ranker:
@@ -238,11 +236,11 @@ def evaluate_pairs(
     ranker = _Ranker(table, lexicon)
     results = []
     for pair in pairs:
-        i, j = table.index.get(pair.informal), table.index.get(pair.formal)
+        i = table.index.get(pair.informal)
         status = PairStatus.SCORED
         if i is None or table.degenerate[i]:
             status = PairStatus.INFORMAL_MISSING
-        elif j is None or table.degenerate[j] or pair.formal not in lexicon:
+        elif ranker.position(pair.formal) is None:
             status = PairStatus.FORMAL_MISSING
         results.append(PairResult(pair, status))
     scored = [r for r in results if r.status is PairStatus.SCORED]
@@ -287,12 +285,10 @@ def diagnostics_rows(rows: list["ReportRow"], n_worst: int) -> str:
 # --- report serialization -------------------------------------------------
 
 
-def accuracy_summary(
-    hits_at: dict[int, int], scored_count: int, precision: int = 3
-) -> list[str]:
+def accuracy_summary(hits_at: dict[int, int], scored_count: int) -> list[str]:
     """``accuracy@c = 0.xxx (n/m)`` lines, one per cutoff."""
     return [
-        f"accuracy@{c} = {h / scored_count:.{precision}f} ({h}/{scored_count})"
+        f"accuracy@{c} = {h / scored_count:.3f} ({h}/{scored_count})"
         for c, h in sorted(hits_at.items())
     ]
 
@@ -338,10 +334,12 @@ def render_report_tsv(report: EvalReport) -> str:
 
 
 def write_report(report: EvalReport, text_sink, tsv_sink) -> None:
-    """Render both forms before opening either sink."""
+    """Render both forms before opening either sink; replace neither
+    unless both are written."""
     text, tsv = render_report_text(report), render_report_tsv(report)
-    write_text(text_sink, text)
-    write_text(tsv_sink, tsv)
+    with binary_writers(text_sink, tsv_sink) as (text_stream, tsv_stream):
+        write_text(text_stream, text)
+        write_text(tsv_stream, tsv)
 
 
 @dataclass

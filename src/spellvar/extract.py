@@ -206,10 +206,6 @@ def read_definitions(source) -> list[DefinitionEntry]:
     return entries
 
 
-def write_definitions(entries: Iterable[DefinitionEntry], sink) -> None:
-    write_records(sink, entries)
-
-
 def write_pairs(pairs: Iterable[VariantPair], sink) -> None:
     write_records(sink, (
         (p.informal, p.formal, p.entry_id, p.delimiter.value, p.validation.value)

@@ -38,10 +38,9 @@ _ASCII_NON_ALNUM = "".join(c for c in map(chr, range(128)) if not c.isalnum())
 
 @dataclass(frozen=True)
 class FormalLexicon:
-    """A set of lowercase tokens deemed formal, with a provenance label."""
+    """A set of lowercase tokens deemed formal."""
 
     tokens: frozenset[str]
-    source_label: str = ""
     duplicates: int = 0
 
     def __contains__(self, token: str) -> bool:
@@ -90,9 +89,7 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def build_lexicon(
-    corpus: Iterable[str], min_count: int = 1, source_label: str = ""
-) -> FormalLexicon:
+def build_lexicon(corpus: Iterable[str], min_count: int = 1) -> FormalLexicon:
     """Collect every token occurring at least ``min_count`` times.
 
     ``corpus`` is a pre-tokenized stream. Tokens are folded to lowercase
@@ -107,18 +104,16 @@ def build_lexicon(
     if not counts:
         raise ValueError("empty corpus")
     kept = frozenset(t for t, c in counts.items() if c >= min_count)
-    return FormalLexicon(tokens=kept, source_label=source_label)
+    return FormalLexicon(tokens=kept)
 
 
-def load_lexicon(source, source_label: str | None = None) -> FormalLexicon:
+def load_lexicon(source) -> FormalLexicon:
     """Read a one-token-per-line lexicon file.
 
     Tokens are folded to lowercase; duplicates (post-fold) are collapsed
     and tallied. Raises ParseError if the file holds no tokens.
     """
     with text_reader(source) as stream:
-        if source_label is None:
-            source_label = getattr(stream, "name", "")
         tokens: set[str] = set()
         duplicates = 0
         for line in stream:
@@ -133,9 +128,7 @@ def load_lexicon(source, source_label: str | None = None) -> FormalLexicon:
         raise ParseError("empty lexicon file")
     if duplicates:
         log.warning("collapsed %d duplicate lexicon tokens", duplicates)
-    return FormalLexicon(
-        tokens=frozenset(tokens), source_label=source_label, duplicates=duplicates
-    )
+    return FormalLexicon(tokens=frozenset(tokens), duplicates=duplicates)
 
 
 def write_lexicon(lexicon: FormalLexicon, sink) -> None:

@@ -1,4 +1,4 @@
-"""Shared builders for the test suite."""
+"""Shared builders and fixture writers for the test suite."""
 
 import math
 import re
@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 
+from spellvar._fileio import UTF8, binary_writer, write_records
 from spellvar.embeddings import EmbeddingTable
 from spellvar.extract import Delimiter, VariantPair
 from spellvar.vocab import FormalLexicon
@@ -27,6 +28,33 @@ def random_table(rng, n_tokens: int, dimension: int, prefix: str = "t") -> Embed
     matrix = rng.normal(size=(n_tokens, dimension)).astype(np.float32)
     tokens = tuple(f"{prefix}{i:04d}" for i in range(n_tokens))
     return EmbeddingTable(dimension=dimension, vocabulary=tokens, matrix=matrix)
+
+
+def vector_of(table: EmbeddingTable, token: str) -> np.ndarray | None:
+    """The stored row for ``token`` (case-sensitive), or None if absent."""
+    i = table.index.get(token)
+    return None if i is None else table.matrix[i]
+
+
+def write_embeddings(table: EmbeddingTable, sink, format: str = "plain") -> None:
+    """Write a table in the text interchange format ``load_embeddings`` reads.
+
+    Values are written with full float precision, so load -> write -> load
+    reproduces the stored float32 matrix exactly.
+    """
+    if format not in ("plain", "headered"):
+        raise ValueError(f"unknown embedding format: {format!r}")
+    with binary_writer(sink) as stream:
+        if format == "headered":
+            stream.write(f"{len(table)} {table.dimension}\n".encode("ascii"))
+        for token, row in zip(table.vocabulary, table.matrix):
+            values = b" ".join(repr(float(v)).encode("ascii") for v in row)
+            stream.write(token.encode(**UTF8) + b" " + values + b"\n")
+
+
+def write_definitions(entries, sink) -> None:
+    """Write a definitions dump that ``read_definitions`` reads back."""
+    write_records(sink, entries)
 
 
 def lexicon_of(*tokens: str) -> FormalLexicon:

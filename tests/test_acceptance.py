@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table
+from helpers import (
+    forced_rank_setup, lexicon_of, make_table, pair, random_table, write_embeddings,
+)
 from spellvar.cli import main
-from spellvar.embeddings import EmbeddingTable, normalize, write_embeddings
+from spellvar.embeddings import EmbeddingTable, normalize
 from spellvar.evaluate import (
     EvalConfig,
     PairStatus,

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import spellvar
-from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table
+from helpers import (
+    forced_rank_setup, lexicon_of, make_table, pair, random_table, write_embeddings,
+)
 from spellvar import cli, vocab
 from spellvar.cli import _parse_bool, _parse_cutoffs, build_parser, load_config, main
-from spellvar.embeddings import write_embeddings
 from spellvar.extract import write_pairs
 from spellvar.vocab import write_lexicon
 
@@ -131,6 +132,23 @@ class TestExtractCommand:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_failed_output_replaces_no_output(self, tmp_path, capsys):
+        # The stats JSON cannot be written, so pairs.tsv keeps its old bytes
+        # and no .stats file or temporary file is left.
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_bytes(b"old pairs\n")
+        (tmp_path / "pairs.tsv.stats.json").mkdir()
+        code, _, err = run(
+            capsys, "extract",
+            "--defs", str(DATA / "definitions_sample.tsv"),
+            "--freq", str(DATA / "frequencies_sample.tsv"),
+            "--pairs", str(pairs),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert pairs.read_bytes() == b"old pairs\n"
+        assert sorted(os.listdir(tmp_path)) == ["pairs.tsv", "pairs.tsv.stats.json"]
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "extract", "--freq", "x", "--pairs", "y")
@@ -371,6 +389,25 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert "error:" in err and "line 2" in err
+
+    @pytest.mark.parametrize("old", [None, b"old report\n"], ids=["new", "existing"])
+    def test_failed_output_replaces_no_output(self, tmp_path, capsys, old):
+        # The .tsv cannot be written, so the text report is left as it was.
+        emb, lex, pairs, report = write_eval_inputs(tmp_path)
+        if old is not None:
+            report.write_bytes(old)
+        Path(f"{report}.tsv").mkdir()
+        before = sorted(os.listdir(tmp_path))
+        code, _, err = run(
+            capsys, "evaluate",
+            "--pairs", str(pairs), "--lexicon", str(lex),
+            "--embeddings", str(emb), "--report", str(report),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert sorted(os.listdir(tmp_path)) == before
+        if old is not None:
+            assert report.read_bytes() == old
 
     @pytest.mark.parametrize("text", ["0", "-3", ""])
     def test_bad_cutoffs_rejected_before_any_output(self, tmp_path, capsys, text):

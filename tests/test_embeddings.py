@@ -8,16 +8,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import make_table
+from helpers import make_table, vector_of, write_embeddings
 from spellvar import embeddings
-from spellvar.embeddings import (
-    EmbeddingTable,
-    cosine,
-    load_embeddings,
-    normalize,
-    vector_of,
-    write_embeddings,
-)
+from spellvar.embeddings import EmbeddingTable, cosine, load_embeddings, normalize
 from spellvar.errors import DegenerateVectorError, ParseError
 
 # 32 / (sqrt(14) * sqrt(77)), frozen from an arbitrary-precision computation
@@ -219,12 +212,10 @@ class TestBlockParser:
         raw=embedding_sources(),
         format=st.sampled_from(["plain", "headered"]),
         block=st.integers(1, 3),
-        chunk=st.integers(1, 8),
     )
-    def test_matches_line_by_line_reference(self, raw, format, block, chunk):
+    def test_matches_line_by_line_reference(self, raw, format, block):
         with (
             mock.patch.object(embeddings, "BLOCK_LINES", block),
-            mock.patch.object(embeddings, "CHUNK_BYTES", chunk),
             warnings.catch_warnings(),
         ):
             warnings.simplefilter("error")
@@ -238,22 +229,22 @@ class TestBlockParser:
 
     @pytest.mark.parametrize("shift", range(-3, 4))
     def test_crlf_split_across_the_chunk_read(self, shift):
-        # The first line's CR is byte CHUNK_BYTES - 1 + shift of the source:
-        # at shift 0 the CR ends the first read and its LF starts the second.
-        first = b"a" * (embeddings.CHUNK_BYTES - 3 + shift) + b" 1"
-        raw = first + b"\r\nb 2\r\nc x\r\n"
-        with pytest.raises(ParseError, match="^line 3: non-numeric"):
-            load_embeddings(raw)
-        table = load_embeddings(raw[:-6])
-        assert outcome(load_embeddings, raw[:-6]) == outcome(reference_load, raw[:-6])
-        assert len(table) == 2
+        # The first line's CR is byte 8192 * reads - 1 + shift of the source:
+        # at shift 0 the CR ends one 8192-byte read of the text reader and
+        # its LF starts the next.
+        for reads in (1, 2, 3):
+            first = b"a" * (8192 * reads - 3 + shift) + b" 1"
+            raw = first + b"\r\nb 2\r\nc x\r\n"
+            with pytest.raises(ParseError, match="^line 3: non-numeric"):
+                load_embeddings(raw)
+            table = load_embeddings(raw[:-6])
+            assert outcome(load_embeddings, raw[:-6]) == outcome(reference_load, raw[:-6])
+            assert len(table) == 2
 
     def test_peak_memory_is_below_the_text_size(self, monkeypatch):
-        # Beside the matrix and the tokens the loader holds one chunk of the
-        # source and one block of records; shrinking both lets a small file
-        # show that bound.
+        # Beside the matrix and the tokens the loader holds one block of
+        # records; shrinking it lets a small file show that bound.
         monkeypatch.setattr(embeddings, "BLOCK_LINES", 64)
-        monkeypatch.setattr(embeddings, "CHUNK_BYTES", 1 << 16)
         rows, dimension = 4000, 10
         value = b"-0." + b"1234567890" * 10
         line = b" ".join([value] * dimension)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import reference_mine
+from helpers import reference_mine, write_definitions
 from spellvar.cli import main
 from spellvar._fileio import _escape, _unescape, format_record, read_records, write_records
 from spellvar.errors import ParseError
@@ -20,7 +20,6 @@ from spellvar.extract import (
     mine_pairs,
     read_definitions,
     read_pairs,
-    write_definitions,
     write_pairs,
 )
 from spellvar.vocab import FrequencyTable

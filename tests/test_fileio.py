@@ -4,15 +4,21 @@ import stat
 import threading
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from helpers import pair
 from spellvar._fileio import (
+    UTF8,
     binary_writer,
+    binary_writers,
     format_record,
     join_items,
     read_records,
     split_items,
+    text_reader,
     write_records,
+    write_text,
 )
 from spellvar.errors import ParseError
 from spellvar.extract import write_pairs
@@ -47,6 +53,33 @@ class TestRecordCodec:
         assert join_items(items) == "a\\cb:0.5,c\\\\d,,plain"
         assert split_items(join_items(items)) == items
         assert split_items("") == []
+
+
+# Line ends, and bytes that are not UTF-8 or that str.splitlines() would split at.
+_ODD_PIECES = [b"\n", b"\r", b"\r\n", b"\x85", "\u2028".encode(), b"\xff", b"\xc3", b"\xed\xa0\x80"]
+
+
+@st.composite
+def line_sources(draw):
+    """Arbitrary bytes, half of them behind a line end placed within 3 bytes
+    of an 8192-byte read of ``io.TextIOWrapper``."""
+    raw = b"".join(draw(st.lists(st.one_of(st.binary(max_size=6), st.sampled_from(_ODD_PIECES)))))
+    if draw(st.booleans()):
+        edge = 8192 * draw(st.integers(1, 2)) + draw(st.integers(-3, 3))
+        fill = draw(st.sampled_from([b"a", b"\xc3\xa9", b"\xff"]))
+        end = draw(st.sampled_from([b"\n", b"\r", b"\r\n"]))
+        raw = (fill * edge)[: edge - 1] + end + raw
+    return raw
+
+
+class TestTextReader:
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(raw=line_sources())
+    def test_lines_re_encoded_are_the_splitlines_of_the_bytes(self, raw):
+        with text_reader(raw) as stream:
+            lines = [line.rstrip("\n").encode(**UTF8) for line in stream]
+        assert lines == raw.splitlines()
 
 
 class TestPathWriters:
@@ -108,6 +141,23 @@ class TestPathWriters:
         assert not reader.is_alive()
         assert received == [b"a\tb\n"]
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_outputs_are_replaced_together_and_a_fifo_written_in_place(self, tmp_path):
+        path, fifo = tmp_path / "out.txt", tmp_path / "out.fifo"
+        path.write_bytes(b"old\n")
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with binary_writers(path, fifo) as (text_stream, fifo_stream):
+            write_text(text_stream, "new\n")
+            write_text(fifo_stream, "piped\n")
+            assert path.read_bytes() == b"old\n"
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"piped\n"]
+        assert path.read_bytes() == b"new\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.fifo", "out.txt"]
 
     def test_stream_sink_stays_open(self):
         sink = io.BytesIO()

@@ -96,10 +96,6 @@ class TestBuildLexicon:
         lex = build_lexicon(["Two", "two"], min_count=2)
         assert lex.tokens == frozenset({"two"})
 
-    def test_source_label_recorded(self):
-        lex = build_lexicon(["a"], source_label="toy")
-        assert lex.source_label == "toy"
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_lexicon([])
