@@ -408,8 +408,16 @@ class TestRankingEngineEdges:
     def test_duplicate_vectors_match_oracle(self):
         assert_duplicate_rows_match_oracle(np.random.default_rng(20231), instances=12)
 
-    def test_identical_rows_are_scored_once(self):
+    # rows are grouped by their exact bits, so a scaled or negated,
+    # unnormalized table must group its identical rows the same way
+    @pytest.mark.parametrize("multiplier", [np.float32(1), np.float32(-3)])
+    def test_identical_rows_are_scored_once(self, multiplier):
         table, lex = duplicate_rows_instance(np.random.default_rng(8))
+        table = EmbeddingTable(
+            dimension=table.dimension,
+            vocabulary=table.vocabulary,
+            matrix=table.matrix * multiplier,
+        )
         ranker = evaluate._Ranker(table, lex)
         rows = table.matrix[[table.index[t] for t in ranker.tokens]]
         assert len(ranker.distinct) == len(np.unique(rows, axis=0)) < len(rows)
