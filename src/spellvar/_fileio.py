@@ -22,6 +22,7 @@ the field itself is escaped.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import re
@@ -72,7 +73,8 @@ def binary_reader(source):
 def binary_writer(sink):
     """A path is written in place only when it exists and is not a regular
     file (a device or a pipe, which cannot be replaced). A replaced file
-    keeps its permission bits."""
+    keeps its permission bits. The temporary file is named by a hash of the
+    target's name and the process id, so it fits however long the name is."""
     if not isinstance(sink, (str, Path)):
         yield sink
         return
@@ -82,7 +84,9 @@ def binary_writer(sink):
         with open(path, "wb") as f:
             yield f
         return
-    temp = f"{path}.{os.getpid()}.tmp"
+    head, name = os.path.split(path)
+    digest = hashlib.sha256(os.fsencode(name)).hexdigest()
+    temp = os.path.join(head, f"{digest}.{os.getpid()}.tmp")
     f = open(temp, "xb")
     try:
         if old is not None:

@@ -12,11 +12,13 @@ A table is immutable once built and safe to share across threads.
 
 Loading streams the source: it is read line by line through
 ``_fileio.text_reader``, and its records are parsed ``BLOCK_LINES`` at a
-time, each block with one ``np.loadtxt`` call and cast to float32 as it is
-parsed. So beside the matrix the loader holds one block of text, however
-large the file. Values are parsed exactly as ``float()`` parses them, and
-must be finite in float32: a non-numeric value, a NaN or infinity, or a value
-past float32's range is a ParseError naming its line.
+time, each block by one ``np.loadtxt`` call, or line by line where that call
+cannot vouch for the block; the line parser alone holds the rules and
+messages for one line. So beside the matrix the loader holds one block of
+text, however large the file. Values are parsed exactly as ``float()``
+parses them, and must be finite in float32: a wrong value count, a
+non-numeric value, a NaN or infinity, or a value past float32's range is a
+ParseError naming its line.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -87,8 +89,9 @@ class EmbeddingTable:
         return token in self.index
 
 
-def _parse_row(fields: list[bytes], dimension: int, lineno: int) -> np.ndarray:
+def _parse_row(line: bytes, dimension: int, lineno: int) -> np.ndarray:
     """One record's values as float32, or the ParseError for its line."""
+    fields = line.split(b" ")[1:]
     if len(fields) != dimension:
         raise ParseError(
             f"expected {dimension} values, found {len(fields)}", line=lineno
@@ -99,64 +102,37 @@ def _parse_row(fields: list[bytes], dimension: int, lineno: int) -> np.ndarray:
         raise ParseError(f"non-numeric value in {fields!r}", line=lineno) from None
     if not all(np.isfinite(values)):
         raise ParseError("non-finite value", line=lineno)
-    return _float32(np.asarray(values, dtype=np.float64)[None], [lineno])[0]
-
-
-def _float32(rows: np.ndarray, linenos: list[int]) -> np.ndarray:
-    """Finite float64 ``rows`` as float32; a value that does not fit is a
-    ParseError naming its line."""
     with np.errstate(over="ignore"):
-        narrow = rows.astype(np.float32)
-    past = ~np.isfinite(narrow).all(axis=1)
-    if past.any():
-        raise ParseError("value out of float32 range", line=linenos[past.argmax()])
-    return narrow
+        row = np.array(values, dtype=np.float32)
+    if not np.isfinite(row).all():
+        raise ParseError("value out of float32 range", line=lineno)
+    return row
 
 
-def _parse_block(block: list[tuple[int, bytes, bytes | None]], dimension: int) -> np.ndarray:
-    """The float32 rows of ``(line number, token, values text)`` records.
+def _parse_block(block: list[tuple[int, bytes]], dimension: int) -> np.ndarray:
+    """The float32 rows of ``(line number, line)`` records.
 
-    One ``np.loadtxt`` call parses the block. It converts with the same
-    correctly rounded routine as ``float()``, so the values are identical.
-    When it cannot be used or fails, or finds a value that is not finite,
-    the block is parsed again line by line, which names the first bad line.
+    One ``np.loadtxt`` call parses the block, with the same correctly rounded
+    routine as ``float()``. It skips an empty values text and takes the bytes
+    0x1c-0x1f for space around a number; a block with either, or that it
+    rejects, reads in the wrong shape, or finds not finite in float32, is
+    parsed by ``_parse_row`` line by line instead, which names the bad line.
     """
-    values = [text for _, _, text in block]
+    texts = [line.partition(b" ")[2] for _, line in block]
+    joined = b"".join(texts)
     rows = None
-    if _loadtxt_reads_as_float(values):
+    if b"" not in texts and not any(byte in joined for byte in b"\x1c\x1d\x1e\x1f"):
         try:
-            rows = np.loadtxt(
-                values, dtype=np.float64, delimiter=" ", comments=None,
-                ndmin=2, encoding="ascii",
-            )
+            with np.errstate(over="ignore"):
+                rows = np.loadtxt(
+                    texts, dtype=np.float64, delimiter=" ", comments=None,
+                    ndmin=2, encoding="ascii",
+                ).astype(np.float32)
         except ValueError:  # a malformed value: the line-by-line parse names it
             pass
     if rows is None or rows.shape != (len(block), dimension) or not np.isfinite(rows).all():
-        return np.vstack([
-            _parse_row([] if text is None else text.split(b" "), dimension, lineno)
-            for lineno, _, text in block
-        ])
-    return _float32(rows, [lineno for lineno, _, _ in block])
-
-
-def _loadtxt_reads_as_float(values: list[bytes | None]) -> bool:
-    """Whether np.loadtxt reads the values texts as ``float()`` does. It
-    skips an empty line, and it takes the bytes 0x1c-0x1f for space around
-    a number, where ``float()`` rejects both. None (a line with no space)
-    is not text at all."""
-    if None in values or b"" in values:
-        return False
-    text = b"".join(values)
-    return not any(byte in text for byte in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
-
-
-def _records(lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, bytes, bytes | None]]:
-    """``(line number, token, values text)`` per non-blank line; the text is
-    None for a line with no space."""
-    for lineno, line in lines:
-        if line:
-            token, space, text = line.partition(b" ")
-            yield lineno, token, text if space else None
+        return np.vstack([_parse_row(line, dimension, lineno) for lineno, line in block])
+    return rows
 
 
 def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
@@ -169,12 +145,13 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
 
     The source is read line by line through ``text_reader``, each line split
     as ``bytes.splitlines()`` splits (at LF, CR or CRLF) and turned back into
-    its bytes, and parsed ``BLOCK_LINES`` records at a time with one numpy
-    call per block. Each value is parsed as ``float()`` parses it and stored
-    as float32; a value that is not finite, or that does not fit in float32,
-    is a ParseError naming its line, and the first bad line in the file is
-    the one named. Only the matrix grows with the file: beside it the loader
-    holds one block of text.
+    its bytes. ``_parse_block`` parses ``BLOCK_LINES`` non-blank lines at a
+    time with one numpy call, and ``_parse_row`` any block it cannot vouch
+    for. Each value is parsed as ``float()`` parses it and stored as float32;
+    a value that is not finite, or that does not fit in float32, is a
+    ParseError naming its line, and the first bad line in the file is the one
+    named. A header count that differs from the records found is logged as a
+    warning. Only the matrix grows with the file.
     """
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
@@ -199,17 +176,17 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
             if dimension < 1:
                 raise ParseError("header dimension must be positive", line=1)
 
-        records = _records(lines)
+        records = ((lineno, line) for lineno, line in lines if line)
         for block in iter(lambda: list(islice(records, BLOCK_LINES)), []):
             if dimension is None:
-                lineno, _, text = block[0]
-                if text is None:
+                lineno, line = block[0]
+                dimension = line.count(b" ")
+                if dimension < 1:
                     raise ParseError("first record has no values", line=lineno)
-                dimension = text.count(b" ") + 1
             rows = _parse_block(block, dimension)
             keep = []
-            for i, (_, key, _) in enumerate(block):
-                token = key.decode(**UTF8)
+            for i, (_, line) in enumerate(block):
+                token = line.partition(b" ")[0].decode(**UTF8)
                 if token in seen:
                     duplicates += 1
                     continue
@@ -223,7 +200,7 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     if duplicates:
         log.warning("dropped %d duplicate embedding records", duplicates)
     if format == "headered" and declared_count != len(tokens) + duplicates:
-        log.debug(
+        log.warning(
             "header declares %d records, found %d", declared_count,
             len(tokens) + duplicates,
         )

@@ -142,7 +142,8 @@ def count_frequencies(corpus: Iterable[str]) -> FrequencyTable:
 
 
 def load_frequencies(source) -> FrequencyTable:
-    """Read a ``token TAB count`` file; counts must be positive integers."""
+    """Read a ``token TAB count`` file; counts must be positive integers,
+    and no token may appear twice."""
     counts: dict[str, int] = {}
     for lineno, (token, count_text) in read_records(source, 2):
         try:
@@ -151,6 +152,8 @@ def load_frequencies(source) -> FrequencyTable:
             raise ParseError(f"non-integer count {count_text!r}", line=lineno) from None
         if count < 1:
             raise ParseError(f"count must be >= 1, got {count}", line=lineno)
+        if token in counts:
+            raise ParseError(f"repeated token {token!r}", line=lineno)
         counts[token] = count
     return FrequencyTable(counts=counts)
 

@@ -150,6 +150,21 @@ class TestExtractCommand:
         assert pairs.read_bytes() == b"old pairs\n"
         assert sorted(os.listdir(tmp_path)) == ["pairs.tsv", "pairs.tsv.stats.json"]
 
+    def test_long_output_names(self, tmp_path, capsys):
+        # The three outputs' names are 240, 246 and 251 bytes long.
+        pairs = tmp_path / ("p" * 240)
+        code, _, _ = run(
+            capsys, "extract",
+            "--defs", str(DATA / "definitions_sample.tsv"),
+            "--freq", str(DATA / "frequencies_sample.tsv"),
+            "--pairs", str(pairs),
+        )
+        assert code == 0
+        assert pairs.read_text(encoding="utf-8") == EXPECTED_PAIRS
+        assert sorted(os.listdir(tmp_path)) == [
+            pairs.name, f"{pairs.name}.stats", f"{pairs.name}.stats.json",
+        ]
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "extract", "--freq", "x", "--pairs", "y")
         assert code == 1

@@ -1,4 +1,5 @@
 import io
+import logging
 import tracemalloc
 import warnings
 from unittest import mock
@@ -258,6 +259,49 @@ class TestBlockParser:
             tracemalloc.stop()
         assert table.matrix.shape == (rows, dimension)
         assert peak < len(raw)
+
+
+class TestLoadAtDefaults:
+    """The loader as the CLI runs it: its own block size and log levels."""
+
+    def test_first_bad_line_named_across_default_blocks(self):
+        # Over two full blocks: a float32 overflow late in block 1 and a
+        # non-numeric value in block 2, each a line of its own.
+        rng = np.random.default_rng(20261018)
+        rows = rng.normal(scale=10.0, size=(2 * embeddings.BLOCK_LINES + 100, 3))
+        lines = [
+            b"w%d %s" % (i, b" ".join(repr(float(v)).encode() for v in row))
+            for i, row in enumerate(rows)
+        ]
+        overflow, non_numeric = embeddings.BLOCK_LINES - 5, embeddings.BLOCK_LINES + 500
+        bad = list(lines)
+        bad.insert(non_numeric, b"bad 1 x 2")
+        bad.insert(overflow, b"big 1 1e39 2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for raw, message in [
+                (bad, f"line {overflow + 1}: value out of float32 range"),
+                (bad[:overflow] + bad[overflow + 1:],
+                 f"line {non_numeric + 1}: non-numeric value in [b'1', b'x', b'2']"),
+            ]:
+                raw = b"\n".join(raw) + b"\n"
+                with pytest.raises(ParseError) as caught:
+                    load_embeddings(raw)
+                assert str(caught.value) == message
+                assert outcome(load_embeddings, raw) == outcome(reference_load, raw)
+            clean = b"\n".join(lines) + b"\n"
+            table = load_embeddings(clean)
+        assert table.matrix.shape == (len(lines), 3)
+        assert outcome(load_embeddings, clean) == outcome(reference_load, clean)
+
+    @pytest.mark.parametrize("declared, logged", [
+        (2, []),
+        (3, [("WARNING", "header declares 3 records, found 2")]),
+    ])
+    def test_header_count_mismatch_is_a_warning(self, caplog, declared, logged):
+        with caplog.at_level(logging.INFO, logger="spellvar.embeddings"):
+            load_embeddings(b"%d 2\na 1 0\nb 0 1\n" % declared, format="headered")
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == logged
 
 
 class TestRoundTrip:

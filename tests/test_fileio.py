@@ -106,6 +106,16 @@ class TestPathWriters:
         assert path.read_bytes() == b"old 1 2\n"
         assert os.listdir(tmp_path) == ["table.vec"]
 
+    @pytest.mark.parametrize("old", [None, b"old\n"], ids=["new", "existing"])
+    def test_longest_file_names_are_written(self, tmp_path, old):
+        # 250 bytes leave no room under the 255-byte name limit for a suffix.
+        path = tmp_path / ("a" * 250)
+        if old is not None:
+            path.write_bytes(old)
+        write_text(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == [path.name]
+
     def test_new_file_mode_follows_the_umask(self, tmp_path):
         path = tmp_path / "out.tsv"
         write_records(path, [("a", "b")])

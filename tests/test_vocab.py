@@ -211,6 +211,12 @@ class TestFrequencies:
         with pytest.raises(ParseError, match="line 1"):
             load_frequencies(b"a\t-3\n")
 
+    def test_load_rejects_repeated_token(self):
+        # Keeping either count would make total_tokens disagree with the file.
+        with pytest.raises(ParseError, match="^line 3: repeated token 'a'$") as caught:
+            load_frequencies(b"a\t5\nb\t3\na\t7\n")
+        assert caught.value.line == 3
+
     def test_load_empty_gives_empty_table(self):
         freq = load_frequencies(b"")
         assert freq.total_tokens == 0
