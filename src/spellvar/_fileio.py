@@ -1,9 +1,9 @@
 """File access for the package: the one place that opens files, and the
 tab-separated record codec.
 
-Opening. Every loader accepts a filesystem path, raw bytes, or an
-already-open file object; writers accept a path or an open file object.
-Only paths are opened (and closed) here. Text is UTF-8 with
+Opening. Every loader reads a path, raw bytes or an open binary file object;
+writers take a path or an open binary file object, and a text stream fails
+with TypeError. Only paths are opened (and closed) here. Text is UTF-8 with
 ``surrogateescape``: a byte that is not UTF-8 reads as a lone surrogate and
 is written back as the same byte. A path is written through a sibling
 temporary file that replaces it only once the whole output is written, so a
@@ -51,13 +51,6 @@ def _escaper(letters: dict[str, str]):
 
 _escape, _unescape = _escaper({"\\": "\\", "\t": "t", "\n": "n", "\r": "r"})
 _escape_item, _unescape_item = _escaper({"\\": "\\", ",": "c"})
-
-
-def _is_text(stream) -> bool:
-    """An open text stream, or any other object not a path, bytes or binary stream."""
-    if isinstance(stream, (str, Path, bytes)):
-        return False
-    return isinstance(stream, io.TextIOBase) or not hasattr(stream, "readable")
 
 
 @contextmanager
@@ -109,11 +102,8 @@ def binary_writers(*sinks):
 
 @contextmanager
 def _text(target, binary, newline=None):
-    """``target`` as a text stream: as it is if it is one, else a UTF-8 view
-    of what ``binary`` opens, detached on exit so that stream stays open."""
-    if _is_text(target):
-        yield target
-        return
+    """``target`` as a text stream: a UTF-8 view of what ``binary`` opens,
+    detached on exit so that stream stays open."""
     with binary(target) as raw:
         stream = io.TextIOWrapper(raw, newline=newline, **UTF8)
         try:

@@ -90,9 +90,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     pairs_path = opts.get("pairs", required=True)
     min_freq = opts.get("min_freq", default=DEFAULT_MIN_FREQ, conv=int)
 
-    entries = ex.read_definitions(defs_path)
     freq = vocab.load_frequencies(freq_path)
-    kept, stats = ex.mine_pairs(entries, freq, min_freq)
+    kept, stats = ex.mine_pairs(ex.read_definitions(defs_path), freq, min_freq)
 
     outputs = (pairs_path, pairs_path + ".stats", pairs_path + ".stats.json")
     with binary_writers(*outputs) as (pairs_out, stats_out, json_out):
@@ -260,3 +259,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

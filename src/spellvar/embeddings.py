@@ -220,10 +220,9 @@ def normalize(table: EmbeddingTable) -> EmbeddingTable:
     """
     if table.normalized:
         raise ValueError("table is already normalized")
-    work = table.matrix.astype(np.float64)
-    norms = np.linalg.norm(work, axis=1)
+    norms = np.linalg.norm(table.matrix.astype(np.float64), axis=1)
     scale = np.where(norms > 0.0, norms, 1.0)
-    unit = (work / scale[:, None]).astype(np.float32)
+    unit = (table.matrix / scale[:, None]).astype(np.float32)
     return EmbeddingTable(
         dimension=table.dimension,
         vocabulary=table.vocabulary,

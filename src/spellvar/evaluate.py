@@ -147,10 +147,11 @@ class _Ranker:
             padded[:b] = self.table.matrix[[self.table.index[q] for q, _ in block]]
             # BLAS rounds a dot product differently in another product shape;
             # a fixed one keeps each query's scores independent of its block.
-            dots = (self.distinct @ padded.T)[:, :b]
-            cos = dots / np.multiply.outer(self.norms, np.linalg.norm(padded[:b], axis=1))
+            cos = (self.distinct @ padded.T)[:, :b]
+            cos /= np.multiply.outer(self.norms, np.linalg.norm(padded[:b], axis=1))
             np.clip(cos, -1.0, 1.0, out=cos)
-            for (informal, target), s in zip(block, cos[self.inverse].T.copy()):
+            for j, (informal, target) in enumerate(block):
+                s = cos[self.inverse, j]
                 p = self.position(informal) if exclude_self else None
                 if p is not None:
                     s[p] = -np.inf  # never in the top k: n counts finite scores

@@ -8,8 +8,9 @@ non-ASCII headwords, definitions containing the word "name", and
 headwords too rare in an informal-corpus frequency table.
 
 ``mine_pairs`` is the one pipeline: it runs the scan, the template and
-the cascade in a single pass. Extraction is deterministic: it orders its
-output by entry id, whatever the order of the dump.
+the cascade in a single pass over a lazily read dump, so it holds entry ids
+and kept pairs, not the dump's text. Extraction is deterministic: it orders
+its output by entry id, whatever the order of the dump.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import re
 from dataclasses import asdict, dataclass
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from ._fileio import read_records, write_records
 from .errors import ParseError
@@ -194,16 +195,16 @@ def mine_pairs(
 # pairs file: informal TAB formal TAB entry_id TAB delimiter TAB validation.
 
 
-def read_definitions(source) -> list[DefinitionEntry]:
-    """Read a definitions dump. An empty file is an empty dump; ids are
-    checked for repeats by ``mine_pairs``, which takes any iterable."""
-    entries: list[DefinitionEntry] = []
+def read_definitions(source) -> Iterator[DefinitionEntry]:
+    """Yield a definitions dump's entries lazily; a bad line raises its
+    ParseError when the stream reaches it. An empty file is an empty dump;
+    ids are checked for repeats by ``mine_pairs``, which takes any iterable."""
     for lineno, fields in read_records(source, 3):
         try:
-            entries.append(DefinitionEntry(*fields))
+            entry = DefinitionEntry(*fields)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    return entries
+        yield entry
 
 
 def write_pairs(pairs: Iterable[VariantPair], sink) -> None:

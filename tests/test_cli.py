@@ -150,6 +150,35 @@ class TestExtractCommand:
         assert pairs.read_bytes() == b"old pairs\n"
         assert sorted(os.listdir(tmp_path)) == ["pairs.tsv", "pairs.tsv.stats.json"]
 
+    def test_bad_last_line_writes_no_output(self, tmp_path, capsys):
+        # The dump is mined as it is read, so its last line fails only after
+        # every other entry was mined; nothing is written.
+        defs = tmp_path / "defs.tsv"
+        defs.write_bytes(
+            (DATA / "definitions_sample.tsv").read_bytes() + b"ud99\tonly-two-fields\n"
+        )
+        code, out, err = run(
+            capsys, "extract",
+            "--defs", str(defs),
+            "--freq", str(DATA / "frequencies_sample.tsv"),
+            "--pairs", str(tmp_path / "pairs.tsv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: line 8: expected 3 tab-separated fields, found 2\n"
+        assert os.listdir(tmp_path) == ["defs.tsv"]
+
+    def test_frequency_file_is_read_before_the_dump(self, tmp_path, capsys):
+        defs = tmp_path / "defs.tsv"
+        defs.write_bytes(b"e1\tonly-two-fields\n")
+        code, _, err = run(
+            capsys, "extract",
+            "--defs", str(defs),
+            "--freq", str(tmp_path / "nope.tsv"),
+            "--pairs", str(tmp_path / "pairs.tsv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "nope.tsv" in err
+
     def test_long_output_names(self, tmp_path, capsys):
         # The three outputs' names are 240, 246 and 251 bytes long.
         pairs = tmp_path / ("p" * 240)
@@ -555,6 +584,23 @@ def test_every_flag_is_read(tmp_path, capsys, monkeypatch):
 
 
 class TestParser:
+    @pytest.mark.parametrize("module", ["spellvar", "spellvar.cli"])
+    def test_python_m_runs_the_cli(self, module):
+        src = str(Path(spellvar.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        bogus, helped = (
+            subprocess.run(
+                [sys.executable, "-m", module, *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            for argv in (["evaluate", "--bogus"], ["--help"])
+        )
+        assert bogus.returncode == 2
+        assert "spellvar: error: unrecognized arguments: --bogus" in bogus.stderr
+        assert helped.returncode == 0
+        assert helped.stdout.startswith("usage: spellvar")
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import make_table, vector_of, write_embeddings
+from helpers import make_table, random_table, vector_of, write_embeddings
 from spellvar import embeddings
 from spellvar.embeddings import EmbeddingTable, cosine, load_embeddings, normalize
 from spellvar.errors import DegenerateVectorError, ParseError
@@ -369,6 +369,23 @@ class TestNormalize:
         table = normalize(make_table({"a": [3.0, 4.0]}))
         with pytest.raises(ValueError, match="already"):
             normalize(table)
+
+    def test_holds_no_float64_copy_beside_its_quotient(self):
+        # The peak is the new table's unit-norm check: the float32 result, a
+        # float64 cast of it and that cast squared, 2.5 float64 matrices. A
+        # float64 copy of the input held beside them would pass three.
+        raw = random_table(np.random.default_rng(7), 10_000, 100)
+        work = raw.matrix.astype(np.float64)
+        expected = (work / np.linalg.norm(work, axis=1)[:, None]).astype(np.float32)
+        del work
+        tracemalloc.start()
+        try:
+            table = normalize(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table.matrix, expected)
+        assert peak < 3 * raw.matrix.size * 8
 
 
 class TestVectorOf:

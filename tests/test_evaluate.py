@@ -1,5 +1,6 @@
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,51 @@ class TestRankingEngineEdges:
         rows = table.matrix[[table.index[t] for t in ranker.tokens]]
         assert len(ranker.distinct) == len(np.unique(rows, axis=0)) < len(rows)
         assert np.array_equal(ranker.distinct[ranker.inverse], rows)
+
+    def test_large_pool_matches_oracle(self):
+        # A pool past 10k rows, two full blocks of scored pairs and a partial
+        # third, every other pair self-excluded; pairs from each block are
+        # checked against the oracle.
+        rng = np.random.default_rng(20261018)
+        table = normalize(random_table(rng, 10_300, 50))
+        lex = lexicon_of(*table.vocabulary[:10_000])
+        pairs = []
+        for n in range(2 * evaluate.BLOCK + 40):
+            informal = table.vocabulary[int(rng.integers(0, 10_000)) if n % 2 else -1 - n]
+            formal = table.vocabulary[int(rng.integers(0, 10_000))]
+            pairs.append(pair(informal, formal, entry_id=f"e{n}"))
+        k = 20
+        report = evaluate_pairs(table, pairs, lex, EvalConfig(k=k, cutoffs=(1,)))
+        assert report.candidate_count == 10_000
+        assert report.scored_count == len(pairs)
+        for n in (0, 1, 70, 101, 130, len(pairs) - 1):
+            p, r = pairs[n], report.per_pair[n]
+            assert (p.informal in lex) == (n % 2 == 1)
+            oracle = brute_force_rank(table, p.informal, lex)
+            tokens = [t for t, _ in oracle]
+            assert r.rank == tokens.index(p.formal) + 1
+            assert [t for t, _ in r.top_neighbors] == tokens[:k]
+            for (_, a), (_, b) in zip(r.top_neighbors, oracle):
+                assert abs(a - b) <= 1e-12
+
+    def test_ranking_holds_one_block_array_beside_the_product(self):
+        # At dim 8 each block's pool x BLOCK float64 product outweighs the
+        # ranker's own pool. Beside it a block holds the norm product it is
+        # divided by and one query's scores at a time.
+        table = normalize(random_table(np.random.default_rng(5), 20_000, 8))
+        lex = lexicon_of(*table.vocabulary)
+        pairs = [
+            pair(table.vocabulary[i], table.vocabulary[i + 1], entry_id=f"e{i}")
+            for i in range(evaluate.BLOCK)
+        ]
+        tracemalloc.start()
+        try:
+            report = evaluate_pairs(table, pairs, lex, EvalConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.scored_count == evaluate.BLOCK
+        assert peak < 3 * len(table) * evaluate.BLOCK * 8
 
     @pytest.mark.parametrize("k", [5, 6, 50])
     def test_exclude_self_with_k_at_least_pool_size(self, k):

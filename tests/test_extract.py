@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -382,15 +383,15 @@ class TestDefinitionsIO:
         write_definitions(entries, sink)
         assert b"\\n" in sink.getvalue()
         assert len(sink.getvalue().splitlines()) == 2
-        again = read_definitions(sink.getvalue())
+        again = list(read_definitions(sink.getvalue()))
         assert again == entries
 
     def test_empty_file_is_empty_dump(self):
-        assert read_definitions(b"") == []
+        assert list(read_definitions(b"")) == []
 
     def test_field_count_error(self):
         with pytest.raises(ParseError, match="line 2"):
-            read_definitions(b"e1\thead\tdef text\ne2\tonly-two-fields\n")
+            list(read_definitions(b"e1\thead\tdef text\ne2\tonly-two-fields\n"))
 
     def test_duplicate_id_error(self, tmp_path, capsys):
         defs = tmp_path / "defs.tsv"
@@ -406,18 +407,41 @@ class TestDefinitionsIO:
 
     def test_empty_definition_error(self):
         with pytest.raises(ParseError, match="line 1"):
-            read_definitions(b"e1\thead\t\n")
+            list(read_definitions(b"e1\thead\t\n"))
 
     def test_sample_file_parses(self):
-        entries = read_definitions(DATA / "definitions_sample.tsv")
+        entries = list(read_definitions(DATA / "definitions_sample.tsv"))
         assert len(entries) == 7
         assert entries[3].headword == "Aryan"  # raw case preserved at parse time
+
+    def test_entries_are_yielded_before_a_bad_line(self):
+        entries = read_definitions(b"e1\thead\tdef text\ne2\tonly-two-fields\n")
+        assert next(entries) == DefinitionEntry("e1", "head", "def text")
+        with pytest.raises(ParseError, match="line 2"):
+            next(entries)
+
+    def test_mining_a_dump_holds_its_ids_not_its_text(self, tmp_path):
+        # Long definitions without "spelling": nothing is kept but the ids.
+        path = tmp_path / "defs.tsv"
+        write_definitions(
+            (DefinitionEntry(f"e{i}", f"head{i}", "lorem ipsum dolor " * 100)
+             for i in range(2000)),
+            path,
+        )
+        tracemalloc.start()
+        try:
+            kept, stats = mine_pairs(read_definitions(path), FrequencyTable(), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == [] and stats.definitions_scanned == 2000
+        assert peak < path.stat().st_size / 8
 
     def test_carriage_return_round_trips_through_a_path(self, tmp_path):
         entries = [DefinitionEntry("e1", "suxx", "one\rtwo\r\nthree")]
         path = tmp_path / "defs.tsv"
         write_definitions(entries, path)
-        assert read_definitions(path) == entries
+        assert list(read_definitions(path)) == entries
 
     @given(
         st.integers(2, 5).flatmap(

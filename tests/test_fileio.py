@@ -174,3 +174,9 @@ class TestPathWriters:
         write_records(sink, [("a", "b")])
         assert not sink.closed
         assert sink.getvalue() == b"a\tb\n"
+
+    def test_text_stream_is_rejected(self):
+        with pytest.raises(TypeError):
+            list(read_records(io.StringIO("a\tb\n"), 2))
+        with pytest.raises(TypeError):
+            write_records(io.StringIO(), [("a", "b")])
