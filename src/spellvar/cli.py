@@ -4,7 +4,7 @@ Each stage is independently rerunnable. Flags override an optional flat
 ``key = value`` config file whose keys mirror the flag names; a command
 ignores keys it has no flag for, so one file can drive every command.
 Every run is deterministic: identical inputs give byte-identical output
-files at any BLAS thread count.
+files, whatever the BLAS build or its thread count.
 """
 
 from __future__ import annotations

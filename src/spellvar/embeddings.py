@@ -24,7 +24,8 @@ ParseError naming its line.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterable
 
@@ -35,8 +36,7 @@ from .errors import DegenerateVectorError, ParseError
 
 log = logging.getLogger(__name__)
 
-NORM_TOLERANCE = 1e-6  # unit-norm slack for the normalized-table invariant
-BLOCK_LINES = 4096  # records parsed per numpy call
+BLOCK_LINES = 4096  # records parsed, or rows normalized, per numpy call
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class EmbeddingTable:
     dimension: int
     vocabulary: tuple[str, ...]
     matrix: np.ndarray
-    normalized: bool = False
     duplicates: int = 0
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     degenerate: np.ndarray = field(init=False, repr=False, compare=False)
@@ -75,11 +74,6 @@ class EmbeddingTable:
         object.__setattr__(self, "index", index)
         # Exact: a nonzero float32 squares to a nonzero float64.
         object.__setattr__(self, "degenerate", ~self.matrix.any(axis=1))
-        if self.normalized:
-            norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
-            live = norms[norms > 0.0]
-            if live.size and np.max(np.abs(live - 1.0)) > NORM_TOLERANCE:
-                raise ValueError("normalized flag set but rows are not unit length")
         self.matrix.setflags(write=False)
 
     def __len__(self) -> int:
@@ -215,35 +209,33 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
 def normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Return a copy with every nonzero row scaled to unit Euclidean norm.
 
-    Zero rows are left as-is and remain flagged degenerate. Raises
-    ValueError if the table is already normalized.
+    Zero rows are left as-is and remain flagged degenerate. Rows are done
+    ``BLOCK_LINES`` at a time into the float32 result, so beside it the work
+    holds a few float64 blocks. Ranking accepts any table, normalized or not.
     """
-    if table.normalized:
-        raise ValueError("table is already normalized")
-    norms = np.linalg.norm(table.matrix.astype(np.float64), axis=1)
-    scale = np.where(norms > 0.0, norms, 1.0)
-    unit = (table.matrix / scale[:, None]).astype(np.float32)
-    return EmbeddingTable(
-        dimension=table.dimension,
-        vocabulary=table.vocabulary,
-        matrix=unit,
-        normalized=True,
-        duplicates=table.duplicates,
-    )
+    unit = np.empty_like(table.matrix)
+    for start in range(0, len(table), BLOCK_LINES):
+        rows = table.matrix[start : start + BLOCK_LINES]
+        norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+        norms[norms == 0.0] = 1.0
+        np.divide(rows, norms[:, None], out=unit[start : start + BLOCK_LINES], casting="same_kind")
+    return replace(table, matrix=unit)
 
 
 def cosine(u: Iterable[float], v: Iterable[float]) -> float:
-    """Cosine similarity dot(u,v)/(|u||v|), clamped to [-1, 1].
+    """Cosine similarity dot(u,v)/(|u||v|), clamped to [-1, 1]: the score.
 
-    Raises DegenerateVectorError on a zero vector and ValueError on a
-    dimension mismatch.
+    The dot product and both squared norms are ``math.fsum`` of the float64
+    products, so no summation order can change the value. Raises
+    DegenerateVectorError on a zero vector and ValueError on a dimension
+    mismatch.
     """
     a = np.asarray(u, dtype=np.float64)
     b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = math.fsum((a * a).tolist())
+    nb = math.fsum((b * b).tolist())
     if na == 0.0 or nb == 0.0:
         raise DegenerateVectorError("cosine of a zero vector is undefined")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    return max(-1.0, min(1.0, math.fsum((a * b).tolist()) / (math.sqrt(na) * math.sqrt(nb))))

@@ -11,12 +11,13 @@ Restricting the pool to the lexicon is what keeps the metric stable when
 the embedding vocabulary grows by more informal tokens: additions outside
 the lexicon cannot enter any ranking.
 
-One exact engine, ``_Ranker``, serves ``evaluate_pairs`` and
-``rank_formal_neighbors``: it builds the pool once, scores queries in fixed
-blocks with one float64 matrix product each, and counts each target's rank
-without sorting the pool. Identical vectors tie exactly, broken by token
-order. ``brute_force_rank`` recomputes the ordering one cosine at a time and
-serves as its oracle in the tests.
+A score is ``embeddings.cosine`` of the two float32 rows. One engine,
+``_Ranker``, serves ``evaluate_pairs`` and ``rank_formal_neighbors``: it
+builds the pool once, filters queries in fixed blocks of one float64 matrix
+product each, scores again with ``cosine`` wherever the product's rounding
+could decide an order, a rank or a written digit, and counts each target's
+rank without sorting the pool. ``brute_force_rank`` ranks with one
+``cosine`` at a time and serves as the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -102,32 +103,29 @@ class EvalReport:
         return {c: h / self.scored_count for c, h in self.hits_at.items()}
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, inverse)`` with ``rows[first][inverse]`` equal to ``rows``: rows
-    grouped by their exact bits, each row's bytes viewed as one value."""
-    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}")
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    return first, inverse
-
-
 class _Ranker:
     """The candidate pool of one table and lexicon, and the one ranking engine.
 
     The pool (lexicon tokens with nonzero vectors, in token order) is built
     once. ``search`` scores BLOCK queries per float64 matrix product as
-    ``(C·q) / (|C|·|q|)`` clipped to [-1, 1]. Each distinct row is scored
-    once and its score shared by every token holding it, so identical
-    vectors tie exactly and the tie breaks by token order, as in the oracle.
+    ``(C·q) / (|C|·|q|)`` clipped to [-1, 1]. Scores within ``slack`` of one
+    another, or of a ``%.6f`` rounding edge, are scored again by ``cosine``.
     """
 
     def __init__(self, table: EmbeddingTable, lexicon: FormalLexicon):
         self.table = table
         live = zip(table.vocabulary, table.degenerate.tolist())
         self.tokens: list[str] = sorted(t for t, zero in live if not zero and t in lexicon)
-        candidates = table.matrix[[table.index[t] for t in self.tokens]]
-        first, self.inverse = _distinct_rows(candidates)
-        self.distinct = candidates[first].astype(np.float64)
-        self.norms = np.linalg.norm(self.distinct, axis=1)
+        self.pool = table.matrix[[table.index[t] for t in self.tokens]].astype(np.float64)
+        self.norms = np.linalg.norm(self.pool, axis=1)
+        # Higham (2002), §3.1: a length-d float64 dot product, summed in any
+        # order, errs by at most γ_d·|c|·|q|, γ_n = n·u / (1 - n·u), u = 2**-53.
+        # With the norms' γ_d and two roundings, a product score is within
+        # γ_{3d+2} of the exact cosine; `cosine` is within γ_7. So scores more
+        # than slack = 2·γ_{3d+9} apart, or farther than it from a rounding
+        # edge, order and print as their `cosine` values do.
+        n = 3 * table.dimension + 9
+        self.slack = 2 * n * 2.0**-53 / (1 - n * 2.0**-53)
 
     def position(self, token: str) -> int | None:
         p = bisect_left(self.tokens, token)
@@ -139,32 +137,44 @@ class _Ranker:
         """``(top k, target rank)`` per ``(informal, target)``; the informal
         vector is nonzero and the target a pool token other than it, or None.
         Rank = 1 + #(higher scores) + #(equal scores at earlier tokens); the
-        top k are the scores at or above the k-th best, by (-score, token)."""
-        padded = np.zeros((BLOCK, self.distinct.shape[1]))
+        top k are the k best by (-score, token)."""
+        padded = np.zeros((BLOCK, self.pool.shape[1]))
         for start in range(0, len(queries), BLOCK):
             block = queries[start : start + BLOCK]
             b = len(block)
             padded[:b] = self.table.matrix[[self.table.index[q] for q, _ in block]]
             # BLAS rounds a dot product differently in another product shape;
             # a fixed one keeps each query's scores independent of its block.
-            cos = (self.distinct @ padded.T)[:, :b]
+            cos = (self.pool @ padded.T)[:, :b]
             cos /= np.multiply.outer(self.norms, np.linalg.norm(padded[:b], axis=1))
             np.clip(cos, -1.0, 1.0, out=cos)
             for j, (informal, target) in enumerate(block):
-                s = cos[self.inverse, j]
+                s = cos[:, j].copy()  # product scores, replaced where scored again
                 p = self.position(informal) if exclude_self else None
                 if p is not None:
                     s[p] = -np.inf  # never in the top k: n counts finite scores
                 n = min(k, len(s) - (p is not None))
                 if n == 0:
                     raise ValueError("empty candidate set")
-                top = np.flatnonzero(s >= np.partition(s, len(s) - n)[len(s) - n])
+                top = np.flatnonzero(s >= np.partition(s, len(s) - n)[len(s) - n] - self.slack)
+                top = top[np.lexsort((top, -s[top]))]
+                tied = np.diff(s[top]) >= -self.slack
+                scaled, margin = np.abs(s[top]) * 1e6, self.slack * 1e6
+                edge = (np.abs(scaled % 1.0 - 0.5) <= margin) | (scaled <= margin)
+                again = top[np.r_[tied, False] | np.r_[False, tied] | edge]
+                if target is not None:
+                    t = self.position(target)
+                    gap = s - s[t]
+                    band = np.flatnonzero(np.abs(gap) <= self.slack)
+                    again = np.union1d(again, band) if len(band) > 1 else again
+                for i in again.tolist():
+                    s[i] = cosine(self.pool[i], padded[j])
                 top = top[np.lexsort((top, -s[top]))][:n]
                 rank = None
                 if target is not None:
-                    t = self.position(target)
-                    rank = 1 + np.count_nonzero(s > s[t]) + np.count_nonzero(s[:t] == s[t])
-                yield [(self.tokens[j], float(s[j])) for j in top], rank
+                    ties = (s[band] > s[t]) | ((s[band] == s[t]) & (band < t))
+                    rank = 1 + np.count_nonzero(gap > self.slack) + np.count_nonzero(ties)
+                yield [(self.tokens[i], float(s[i])) for i in top], rank
 
 
 def rank_formal_neighbors(
@@ -182,13 +192,12 @@ def rank_formal_neighbors(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ranker = _Ranker(table, lexicon)
     i = table.index.get(informal)
     if i is None:
         raise MissingTokenError(informal)
     if table.degenerate[i]:
         raise DegenerateVectorError(f"informal token {informal!r} has a zero vector")
-    return next(ranker.search([(informal, None)], k, exclude_self))[0]
+    return next(_Ranker(table, lexicon).search([(informal, None)], k, exclude_self))[0]
 
 
 def brute_force_rank(
@@ -232,8 +241,6 @@ def evaluate_pairs(
     target's rank in the full restricted ordering. Only scored pairs
     enter the accuracy denominator.
     """
-    if not table.normalized:
-        raise ValueError("evaluate_pairs requires a normalized table")
     ranker = _Ranker(table, lexicon)
     results = []
     for pair in pairs:

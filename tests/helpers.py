@@ -12,16 +12,11 @@ from spellvar.extract import Delimiter, VariantPair
 from spellvar.vocab import FormalLexicon
 
 
-def make_table(vectors: dict[str, list[float]], normalized: bool = False) -> EmbeddingTable:
+def make_table(vectors: dict[str, list[float]]) -> EmbeddingTable:
     """Build a table from a token -> vector mapping, in insertion order."""
     tokens = tuple(vectors)
     matrix = np.array([vectors[t] for t in tokens], dtype=np.float32)
-    return EmbeddingTable(
-        dimension=matrix.shape[1],
-        vocabulary=tokens,
-        matrix=matrix,
-        normalized=normalized,
-    )
+    return EmbeddingTable(dimension=matrix.shape[1], vocabulary=tokens, matrix=matrix)
 
 
 def random_table(rng, n_tokens: int, dimension: int, prefix: str = "t") -> EmbeddingTable:

@@ -287,11 +287,22 @@ class TestVocabCommands:
 
 def write_blas_fixture(tmp_path, name):
     """Evaluate inputs: the criterion 9 fixture, or a pool large enough for
-    BLAS to split its products across threads."""
+    BLAS to split its products across threads, of random rows or of random
+    rows whose first 600 are permutations of one vector, tied for the
+    all-ones query in the last row."""
     if name == "criterion9":
         vectors, raw_pairs = forced_rank_setup([1, 3, 9, 2], 25)
         table = make_table(vectors)
         lexicon = [f"w{j:03d}" for j in range(25)]
+    elif name == "permuted_rows":
+        rng = np.random.default_rng(10)
+        rows = list(rng.normal(size=(3000, 64)))
+        v = rng.random(64)
+        rows[:600] = [rng.permutation(v) for _ in range(600)]
+        rows[-1] = np.ones(64)
+        table = make_table({f"t{i:04d}": row for i, row in enumerate(rows)})
+        lexicon = table.vocabulary[:2500]
+        raw_pairs = [(table.vocabulary[-1], table.vocabulary[j]) for j in range(0, 600, 8)]
     else:
         rng = np.random.default_rng(9)
         table = random_table(rng, 3000, 64)
@@ -307,7 +318,7 @@ def write_blas_fixture(tmp_path, name):
 
 
 class TestEvaluateCommand:
-    @pytest.mark.parametrize("fixture", ["criterion9", "large_pool"])
+    @pytest.mark.parametrize("fixture", ["criterion9", "large_pool", "permuted_rows"])
     def test_blas_thread_count_does_not_change_outputs(self, tmp_path, fixture):
         write_blas_fixture(tmp_path, fixture)
         src = str(Path(spellvar.__file__).parents[1])

@@ -129,7 +129,6 @@ class TestLoad:
         table = load_embeddings(b"a 1 0\nb 0 1\n")
         assert table.dimension == 2
         assert table.vocabulary == ("a", "b")
-        assert not table.normalized
 
     def test_headered(self):
         table = load_embeddings(b"2 3\na 1 0 0\nb 0 1 0\n", format="headered")
@@ -365,16 +364,10 @@ class TestNormalize:
         norms = np.linalg.norm(table.matrix.astype(np.float64), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
-    def test_double_normalize_rejected(self):
-        table = normalize(make_table({"a": [3.0, 4.0]}))
-        with pytest.raises(ValueError, match="already"):
-            normalize(table)
-
     def test_holds_no_float64_copy_beside_its_quotient(self):
-        # The peak is the new table's unit-norm check: the float32 result, a
-        # float64 cast of it and that cast squared, 2.5 float64 matrices. A
-        # float64 copy of the input held beside them would pass three.
-        raw = random_table(np.random.default_rng(7), 10_000, 100)
+        # Rows are done a block at a time, so beside the float32 result the
+        # work holds a float64 block and its square, not a whole-matrix copy.
+        raw = random_table(np.random.default_rng(7), 3 * embeddings.BLOCK_LINES + 500, 50)
         work = raw.matrix.astype(np.float64)
         expected = (work / np.linalg.norm(work, axis=1)[:, None]).astype(np.float32)
         del work
@@ -385,7 +378,7 @@ class TestNormalize:
         finally:
             tracemalloc.stop()
         assert np.array_equal(table.matrix, expected)
-        assert peak < 3 * raw.matrix.size * 8
+        assert peak < table.matrix.nbytes + 3 * embeddings.BLOCK_LINES * 50 * 8
 
 
 class TestVectorOf:
@@ -475,10 +468,6 @@ class TestTableInvariants:
                 vocabulary=("a",),
                 matrix=np.zeros((1, 2), dtype=np.float32),
             )
-
-    def test_normalized_flag_requires_unit_rows(self):
-        with pytest.raises(ValueError, match="unit"):
-            make_table({"a": [3.0, 4.0]}, normalized=True)
 
     def test_degenerate_flags_exactly_the_zero_rows(self):
         tiny = float(np.float32(1.4e-45))  # the smallest float32 subnormal

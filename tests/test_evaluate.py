@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table
 from spellvar import evaluate
-from spellvar.embeddings import EmbeddingTable, load_embeddings, normalize
+from spellvar.embeddings import EmbeddingTable, cosine, load_embeddings, normalize
 from spellvar.errors import DegenerateVectorError, MissingTokenError, ParseError
 from spellvar.vocab import FormalLexicon
 from spellvar.evaluate import (
@@ -62,6 +62,10 @@ class TestEvalConfig:
 UR_TABLE = {"ur": [1.0, 0.0], "your": [0.9, 0.1], "babylon": [0.0, 1.0]}
 
 
+def fail_if_built(*args):
+    raise AssertionError("the candidate pool was built")
+
+
 class TestRankFormalNeighbors:
     def test_two_candidate_ranking(self):
         table = make_table(UR_TABLE)
@@ -101,12 +105,15 @@ class TestRankFormalNeighbors:
         assert report.per_pair[0].rank == 1
         assert report.candidate_count == 2
 
-    def test_informal_missing(self):
+    # an unusable informal token is rejected before the pool is built
+    def test_informal_missing(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_Ranker", fail_if_built)
         table = make_table(UR_TABLE)
         with pytest.raises(MissingTokenError):
             rank_formal_neighbors(table, "ghost", lexicon_of("your"), k=1)
 
-    def test_informal_degenerate(self):
+    def test_informal_degenerate(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_Ranker", fail_if_built)
         table = make_table({"ur": [0.0, 0.0], "your": [1.0, 0.0]})
         with pytest.raises(DegenerateVectorError):
             rank_formal_neighbors(table, "ur", lexicon_of("your"), k=1)
@@ -215,16 +222,8 @@ def eval_forced(target_ranks, n_candidates, cutoffs=(1, 5, 10, 20), k=20, **kwar
 
 
 class TestEvaluatePairs:
-    def test_requires_normalized_table(self):
-        table = make_table(UR_TABLE)
-        with pytest.raises(ValueError, match="normalized"):
-            evaluate_pairs(table, [pair("ur", "your")], lexicon_of("your"), EvalConfig())
-
     def test_identical_vectors_rank_one(self):
-        table = make_table(
-            {"ur": [0.6, 0.8], "your": [0.6, 0.8], "other": [1.0, 0.0]},
-            normalized=True,
-        )
+        table = make_table({"ur": [0.6, 0.8], "your": [0.6, 0.8], "other": [1.0, 0.0]})
         report = evaluate_pairs(
             table, [pair("ur", "your")], lexicon_of("your", "other"), EvalConfig()
         )
@@ -301,7 +300,7 @@ class TestEvaluatePairs:
         assert report.accuracy_at[n] == 1.0
 
     def test_no_scored_pairs_flagged(self):
-        table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]}, normalized=True)
+        table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
         report = evaluate_pairs(
             table, [pair("ghost", "b")], lexicon_of("b"), EvalConfig()
         )
@@ -343,9 +342,7 @@ class TestEvaluatePairs:
         assert report.per_pair == alone
 
     def test_self_token_excluded_but_target_never(self):
-        table = make_table(
-            {"luff": [1.0, 0.0], "love": [0.8, 0.6]}, normalized=True
-        )
+        table = make_table({"luff": [1.0, 0.0], "love": [0.8, 0.6]})
         lex = lexicon_of("luff", "love")
         report = evaluate_pairs(table, [pair("luff", "love")], lex, EvalConfig())
         r = report.per_pair[0]
@@ -405,12 +402,22 @@ def assert_duplicate_rows_match_oracle(rng, instances, queries=50):
             assert fast == r.top_neighbors
 
 
+def permuted_rows_instance(rng, n, dim):
+    """A table of n permutations of one random float32 vector, tokens
+    ``p0000``..., plus an all-ones ``ones`` row outside the lexicon."""
+    v = rng.random(dim).astype(np.float32)
+    rows = [rng.permutation(v) for _ in range(n)] + [np.ones(dim, dtype=np.float32)]
+    tokens = tuple(f"p{i:04d}" for i in range(n)) + ("ones",)
+    table = EmbeddingTable(dimension=dim, vocabulary=tokens, matrix=np.vstack(rows))
+    return table, lexicon_of(*tokens[:-1])
+
+
 class TestRankingEngineEdges:
     def test_duplicate_vectors_match_oracle(self):
         assert_duplicate_rows_match_oracle(np.random.default_rng(20231), instances=12)
 
-    # rows are grouped by their exact bits, so a scaled or negated,
-    # unnormalized table must group its identical rows the same way
+    # identical rows of a scaled or negated, unnormalized table tie exactly,
+    # and the tie breaks by token order, as in the oracle
     @pytest.mark.parametrize("multiplier", [np.float32(1), np.float32(-3)])
     def test_identical_rows_are_scored_once(self, multiplier):
         table, lex = duplicate_rows_instance(np.random.default_rng(8))
@@ -419,10 +426,58 @@ class TestRankingEngineEdges:
             vocabulary=table.vocabulary,
             matrix=table.matrix * multiplier,
         )
-        ranker = evaluate._Ranker(table, lex)
-        rows = table.matrix[[table.index[t] for t in ranker.tokens]]
-        assert len(ranker.distinct) == len(np.unique(rows, axis=0)) < len(rows)
-        assert np.array_equal(ranker.distinct[ranker.inverse], rows)
+        pool = sum(t in lex for t in table.vocabulary)
+        for informal in table.vocabulary:
+            oracle = brute_force_rank(table, informal, lex)
+            fast = rank_formal_neighbors(table, informal, lex, k=pool)
+            assert [t for t, _ in fast] == [t for t, _ in oracle]
+            for (_, a), (_, b) in zip(fast, oracle):
+                assert abs(a - b) <= 1e-12
+
+    def test_permuted_vector_ties_match_oracle(self):
+        # Permutations of one vector have equal cosines with the all-ones
+        # query, but a product summed in another order rounds each its own
+        # way. First the k-th score and every target sit inside that tie, and
+        # the pairs span three blocks; then the query itself joins the pool
+        # and k = 1 leaves the tie, so only the targets' own bands settle ranks.
+        table, lex = permuted_rows_instance(np.random.default_rng(12), 2000, 50)
+        table = normalize(table)
+        picks = np.random.default_rng(13).choice(2000, size=2 * evaluate.BLOCK + 10, replace=False)
+        pairs = [pair("ones", f"p{i:04d}", entry_id=f"e{i}") for i in picks]
+        runs = [(lex, 20, True, pairs), (lexicon_of(*table.vocabulary), 1, False, pairs[:8])]
+        for lex, k, exclude_self, pairs in runs:
+            cfg = EvalConfig(k=k, cutoffs=(1,), exclude_self=exclude_self)
+            report = evaluate_pairs(table, pairs, lex, cfg)
+            oracle = brute_force_rank(table, "ones", lex, exclude_self)
+            tokens = [t for t, _ in oracle]
+            assert oracle[-2000][1] == oracle[-1][1]
+            for p, r in zip(pairs, report.per_pair):
+                assert r.rank == tokens.index(p.formal) + 1
+                assert [t for t, _ in r.top_neighbors] == tokens[:k]
+                for (_, a), (_, b) in zip(r.top_neighbors, oracle):
+                    assert abs(a - b) <= 1e-12
+            fast = rank_formal_neighbors(table, "ones", lex, k, exclude_self)
+            assert fast == report.per_pair[0].top_neighbors
+
+    def test_ties_of_rows_scaled_by_powers_of_two_match_oracle(self):
+        # Scaling by a power of two is exact, so an unnormalized table keeps
+        # the permuted rows' ties.
+        rng = np.random.default_rng(14)
+        table, lex = permuted_rows_instance(rng, 2000, 50)
+        scales = 2.0 ** rng.integers(-6, 7, size=(len(table), 1))
+        scales[-1] = 1.0
+        table = EmbeddingTable(
+            dimension=50,
+            vocabulary=table.vocabulary,
+            matrix=(table.matrix * scales).astype(np.float32),
+        )
+        oracle = brute_force_rank(table, "ones", lex)
+        assert oracle[0][1] == oracle[-1][1]
+        for k in (20, 2000):
+            fast = rank_formal_neighbors(table, "ones", lex, k)
+            assert [t for t, _ in fast] == [t for t, _ in oracle[:k]]
+            for (_, a), (_, b) in zip(fast, oracle):
+                assert abs(a - b) <= 1e-12
 
     def test_large_pool_matches_oracle(self):
         # A pool past 10k rows, two full blocks of scored pairs and a partial
@@ -519,6 +574,21 @@ class TestRankingEngineEdges:
         report = evaluate_pairs(table, pairs, lex, EvalConfig(cutoffs=(1,)))
         assert [r.rank for r in report.per_pair] == [2, 3, 4]
 
+    def test_written_values_near_a_rounding_edge_are_scored_again(self, monkeypatch):
+        # 1.5e-6 is half-way between two 6-decimal values, and 0.0 is where
+        # -0.000000 turns into 0.000000. At dim 1000 the slack covers the
+        # float32 nearest to 1.5e-6; "far" lies far from any edge.
+        rows = np.zeros((4, 1000), dtype=np.float32)
+        rows[0, 0] = rows[1, 1] = rows[2, 1] = rows[3, 1] = 1.0
+        rows[1, 0], rows[3, 0] = 1.5e-6, 0.3
+        table = EmbeddingTable(1000, ("q", "half", "zero", "far"), rows)
+        again = []
+        monkeypatch.setattr(evaluate, "cosine", lambda u, v: again.append(u[0]) or cosine(u, v))
+        top = rank_formal_neighbors(table, "q", lexicon_of("half", "zero", "far"), k=3)
+        assert [t for t, _ in top] == ["far", "half", "zero"]
+        assert sorted(again) == [0.0, np.float32(1.5e-6)]
+        assert [f"{v:.6f}" for _, v in top] == ["0.287348", "0.000002", "0.000000"]
+
 
 class TestReportRendering:
     def report(self):
@@ -551,7 +621,7 @@ class TestReportRendering:
         assert len(tsv.splitlines()) == 2
 
     def test_missing_row_uses_dash(self):
-        table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]}, normalized=True)
+        table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
         report = evaluate_pairs(table, [pair("ghost", "b")], lexicon_of("b"), EvalConfig())
         row = render_report_tsv(report).rstrip("\n")
         assert row == "ghost\tb\tinformal_missing\t-\t"
