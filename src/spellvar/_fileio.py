@@ -27,7 +27,7 @@ import io
 import os
 import re
 import stat
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -63,41 +63,47 @@ def binary_reader(source):
 
 
 @contextmanager
-def binary_writer(sink):
-    """A path is written in place only when it exists and is not a regular
-    file (a device or a pipe, which cannot be replaced). A replaced file
-    keeps its permission bits. The temporary file is named by a hash of the
-    target's name and the process id, so it fits however long the name is."""
-    if not isinstance(sink, (str, Path)):
-        yield sink
-        return
-    path = os.path.realpath(sink)
-    old = os.stat(path) if os.path.exists(path) else None
-    if old is not None and not stat.S_ISREG(old.st_mode):
-        with open(path, "wb") as f:
-            yield f
-        return
-    head, name = os.path.split(path)
-    digest = hashlib.sha256(os.fsencode(name)).hexdigest()
-    temp = os.path.join(head, f"{digest}.{os.getpid()}.tmp")
-    f = open(temp, "xb")
+def binary_writers(*sinks):
+    """A binary stream per sink. A path is written in place only when it
+    exists and is not a regular file (a device or a pipe, which cannot be
+    replaced); any other path through a temporary file, named by a hash of
+    its name and the process id so it fits however long the name is. Every
+    stream is written and closed before a temporary file replaces its path,
+    keeping its permission bits, so a failed write or close replaces none."""
+    renames = []
     try:
-        if old is not None:
-            os.chmod(temp, stat.S_IMODE(old.st_mode))
-        with f:
-            yield f
-        os.replace(temp, path)
+        with ExitStack() as stack:  # closes every file, even after one fails
+            yield [_open(sink, stack, renames) for sink in sinks]
+        for temp, path in renames:
+            os.replace(temp, path)
     except BaseException:
-        os.remove(temp)
+        for temp, _ in renames:
+            with suppress(FileNotFoundError):  # replaced its path already
+                os.remove(temp)
         raise
 
 
+def _open(sink, stack, renames):
+    if not isinstance(sink, (str, Path)):
+        return sink
+    path = os.path.realpath(sink)
+    old = os.stat(path) if os.path.exists(path) else None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        return stack.enter_context(open(path, "wb"))
+    head, name = os.path.split(path)
+    digest = hashlib.sha256(os.fsencode(name)).hexdigest()
+    temp = os.path.join(head, f"{digest}.{os.getpid()}.tmp")
+    stream = stack.enter_context(open(temp, "xb"))
+    renames.append((temp, path))
+    if old is not None:
+        os.chmod(temp, stat.S_IMODE(old.st_mode))
+    return stream
+
+
 @contextmanager
-def binary_writers(*sinks):
-    """A ``binary_writer`` stream per sink. Every stream is written before
-    any path is replaced, so a failure replaces none of them."""
-    with ExitStack() as stack:
-        yield [stack.enter_context(binary_writer(sink)) for sink in sinks]
+def binary_writer(sink):
+    with binary_writers(sink) as (stream,):
+        yield stream
 
 
 @contextmanager

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import namedtuple
 from itertools import chain
 
 from . import evaluate as ev
@@ -22,9 +23,6 @@ from .embeddings import load_embeddings, normalize
 from .errors import SpellvarError
 
 log = logging.getLogger(__name__)
-
-DEFAULT_MIN_FREQ = 100
-DEFAULT_MIN_COUNT = 1
 
 
 def _parse_cutoffs(text: str) -> tuple[int, ...]:
@@ -58,94 +56,45 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-class Options:
-    """Flag values with config-file fallback and built-in defaults. A value
-    that fails to convert names its option, and the config file it came from."""
+def cmd_extract(opts: argparse.Namespace) -> int:
+    freq = vocab.load_frequencies(opts.freq)
+    kept, stats = ex.mine_pairs(ex.read_definitions(opts.defs), freq, opts.min_freq)
 
-    def __init__(self, args: argparse.Namespace):
-        self._args = args
-        self._config = load_config(args.config) if args.config else {}
-
-    def get(self, name, default=None, conv=None, required=False):
-        key = name.replace("_", "-")
-        value, source = getattr(self._args, name, None), "--" + key
-        if value is None:
-            value, source = self._config.get(name), f"{self._args.config}: {key}"
-        if conv and isinstance(value, str):
-            try:
-                value = conv(value)
-            except ValueError as exc:
-                raise ValueError(f"{source}: {exc}") from None
-        if value is None:
-            value = default
-        if value is None and required:
-            raise ValueError(f"missing required option --{key}")
-        return value
-
-
-def cmd_extract(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    defs_path = opts.get("defs", required=True)
-    freq_path = opts.get("freq", required=True)
-    pairs_path = opts.get("pairs", required=True)
-    min_freq = opts.get("min_freq", default=DEFAULT_MIN_FREQ, conv=int)
-
-    freq = vocab.load_frequencies(freq_path)
-    kept, stats = ex.mine_pairs(ex.read_definitions(defs_path), freq, min_freq)
-
-    outputs = (pairs_path, pairs_path + ".stats", pairs_path + ".stats.json")
+    outputs = (opts.pairs, opts.pairs + ".stats", opts.pairs + ".stats.json")
     with binary_writers(*outputs) as (pairs_out, stats_out, json_out):
         ex.write_pairs(kept, pairs_out)
         write_text(stats_out, stats.as_text())
         write_text(json_out, stats.as_json())
     print(stats.as_text(), end="")
-    print(f"pairs kept: {len(kept)} -> {pairs_path}")
+    print(f"pairs kept: {len(kept)} -> {opts.pairs}")
     return 0
 
 
-def cmd_build_vocab(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    corpus_path = opts.get("corpus", required=True)
-    lexicon_path = opts.get("lexicon", required=True)
-    min_count = opts.get("min_count", default=DEFAULT_MIN_COUNT, conv=int)
-
-    with text_reader(corpus_path) as stream:
+def cmd_build_vocab(opts: argparse.Namespace) -> int:
+    with text_reader(opts.corpus) as stream:
         tokens = chain.from_iterable(map(vocab.tokenize, stream))
-        lexicon = vocab.build_lexicon(tokens, min_count)
-    vocab.write_lexicon(lexicon, lexicon_path)
-    print(f"lexicon tokens: {len(lexicon)} -> {lexicon_path}")
+        lexicon = vocab.build_lexicon(tokens, opts.min_count)
+    vocab.write_lexicon(lexicon, opts.lexicon)
+    print(f"lexicon tokens: {len(lexicon)} -> {opts.lexicon}")
     return 0
 
 
-def cmd_count_freq(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    corpus_path = opts.get("corpus", required=True)
-    freq_path = opts.get("freq", required=True)
-
-    with text_reader(corpus_path) as stream:
+def cmd_count_freq(opts: argparse.Namespace) -> int:
+    with text_reader(opts.corpus) as stream:
         tokens = chain.from_iterable(map(vocab.tokenize, stream))
         table = vocab.count_frequencies(tokens)
-    vocab.write_frequencies(table, freq_path)
-    print(f"distinct tokens: {len(table)} (total {table.total_tokens}) -> {freq_path}")
+    vocab.write_frequencies(table, opts.freq)
+    print(f"distinct tokens: {len(table)} (total {table.total_tokens}) -> {opts.freq}")
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    pairs_path = opts.get("pairs", required=True)
-    lexicon_path = opts.get("lexicon", required=True)
-    embeddings_path = opts.get("embeddings", required=True)
-    report_path = opts.get("report", required=True)
-    fmt = opts.get("format", default="plain")
-    cutoffs = ev.check_cutoffs(
-        opts.get("cutoffs", default=ev.DEFAULT_CUTOFFS, conv=_parse_cutoffs)
-    )
-    exclude_self = not opts.get("no_exclude_self", default=False, conv=_parse_bool)
-    config = ev.EvalConfig(k=max(cutoffs), cutoffs=cutoffs, exclude_self=exclude_self)
+def cmd_evaluate(opts: argparse.Namespace) -> int:
+    cutoffs = ev.check_cutoffs(opts.cutoffs)
+    config = ev.EvalConfig(k=max(cutoffs), cutoffs=cutoffs, exclude_self=not opts.no_exclude_self)
 
-    pairs = ex.read_pairs(pairs_path)
-    lexicon = vocab.load_lexicon(lexicon_path)
-    table = normalize(load_embeddings(embeddings_path, format=fmt))
+    pairs = ex.read_pairs(opts.pairs)
+    lexicon = vocab.load_lexicon(opts.lexicon)
+    table = normalize(load_embeddings(opts.embeddings, format=opts.format))
 
     retained, removed = vocab.filter_pairs_by_lexicon(pairs, lexicon)
     if removed:
@@ -155,14 +104,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         retained,
         lexicon,
         config,
-        lexicon_label=lexicon_path,
-        embedding_label=embeddings_path,
+        lexicon_label=opts.lexicon,
+        embedding_label=opts.embeddings,
     )
-    report.metadata["pairs_file"] = pairs_path
-    report.metadata["embedding_format"] = fmt
+    report.metadata["pairs_file"] = opts.pairs
+    report.metadata["embedding_format"] = opts.format
     report.metadata["pairs_removed_by_lexicon"] = str(len(removed))
 
-    ev.write_report(report, report_path, report_path + ".tsv")
+    ev.write_report(report, opts.report, opts.report + ".tsv")
     print(
         f"pairs: {len(pairs)}  evaluated: {len(retained)}  "
         f"scored: {report.scored_count}  "
@@ -174,23 +123,61 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    report_path = opts.get("report", required=True)
-    cutoffs = ev.check_cutoffs(
-        opts.get("cutoffs", default=ev.DEFAULT_CUTOFFS, conv=_parse_cutoffs)
-    )
-    worst = opts.get("worst", default=10, conv=int)
-    if worst < 1:
-        raise ValueError(f"--worst must be >= 1, got {worst}")
+def cmd_report(opts: argparse.Namespace) -> int:
+    cutoffs = ev.check_cutoffs(opts.cutoffs)
+    if opts.worst < 1:
+        raise ValueError(f"--worst must be >= 1, got {opts.worst}")
 
-    rows = ev.load_report_rows(report_path)
+    rows = ev.load_report_rows(opts.report)
     scored_count, hits_at = ev.summarize_rows(rows, cutoffs)
     print(f"pairs: {len(rows)}  scored: {scored_count}")
     for line in ev.accuracy_summary(hits_at, scored_count):
         print(line)
-    print(ev.diagnostics_rows(rows, worst), end="")
+    print(ev.diagnostics_rows(rows, opts.worst), end="")
     return 0
+
+
+# One flag, ``--name``, also read from the config file under its name. A
+# string default is converted like a given value and shown in --help; an
+# option with no default is required. A ``_parse_bool`` option is a bare flag.
+Option = namedtuple("Option", "name help conv default choices", defaults=(None,) * 3)
+Command = namedtuple("Command", "func help options")
+
+_CUTOFFS = Option("cutoffs", "accuracy cutoffs, comma-separated", _parse_cutoffs,
+                  ",".join(map(str, ev.DEFAULT_CUTOFFS)))
+
+COMMANDS = {
+    "extract": Command(cmd_extract, "mine candidate pairs from a definitions dump", (
+        Option("defs", "definitions dump (id TAB headword TAB definition)"),
+        Option("freq", "token TAB count frequency file"),
+        Option("min-freq", "drop headwords rarer than this", int, "100"),
+        Option("pairs", "output pairs file"),
+    )),
+    "build-vocab": Command(cmd_build_vocab, "build a formal lexicon from a corpus", (
+        Option("corpus", "plain-text corpus file"),
+        Option("min-count", "minimum occurrences", int, "1"),
+        Option("lexicon", "output lexicon file, one token per line"),
+    )),
+    "count-freq": Command(cmd_count_freq, "count token frequencies in a corpus", (
+        Option("corpus", "plain-text corpus file"),
+        Option("freq", "output token TAB count file"),
+    )),
+    "evaluate": Command(cmd_evaluate, "rank formal neighbors for each pair", (
+        Option("pairs", "pairs file from extract"),
+        Option("lexicon", "formal lexicon file"),
+        Option("embeddings", "embedding text file"),
+        Option("format", "embedding file layout", None, "plain", ("plain", "headered")),
+        _CUTOFFS,
+        Option("no-exclude-self", "let the informal token rank as its own neighbor",
+               _parse_bool, False),
+        Option("report", "output report path (text; .tsv added for machine form)"),
+    )),
+    "report": Command(cmd_report, "re-summarize a saved machine-readable report", (
+        Option("report", "machine-readable report (.tsv) path"),
+        _CUTOFFS,
+        Option("worst", "how many worst pairs to list", int, "10"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,56 +189,44 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("extract", help="mine candidate pairs from a definitions dump")
-    p.add_argument("--defs", help="definitions dump (id TAB headword TAB definition)")
-    p.add_argument("--freq", help="token TAB count frequency file")
-    p.add_argument("--min-freq", dest="min_freq",
-                   help=f"drop headwords rarer than this (default {DEFAULT_MIN_FREQ})")
-    p.add_argument("--pairs", help="output pairs file")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("build-vocab", help="build a formal lexicon from a corpus")
-    p.add_argument("--corpus", help="plain-text corpus file")
-    p.add_argument("--min-count", dest="min_count",
-                   help=f"minimum occurrences (default {DEFAULT_MIN_COUNT})")
-    p.add_argument("--lexicon", help="output lexicon file, one token per line")
-    p.set_defaults(func=cmd_build_vocab)
-
-    p = sub.add_parser("count-freq", help="count token frequencies in a corpus")
-    p.add_argument("--corpus", help="plain-text corpus file")
-    p.add_argument("--freq", help="output token TAB count file")
-    p.set_defaults(func=cmd_count_freq)
-
-    p = sub.add_parser("evaluate", help="rank formal neighbors for each pair")
-    p.add_argument("--pairs", help="pairs file from extract")
-    p.add_argument("--lexicon", help="formal lexicon file")
-    p.add_argument("--embeddings", help="embedding text file")
-    p.add_argument("--format", choices=("plain", "headered"),
-                   help="embedding file layout (default plain)")
-    p.add_argument("--cutoffs", help="accuracy cutoffs, comma-separated (default 1,5,10,20)")
-    p.add_argument("--no-exclude-self", action="store_true", default=None,
-                   dest="no_exclude_self",
-                   help="let the informal token rank as its own neighbor")
-    p.add_argument("--report", help="output report path (text; .tsv added for machine form)")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("report", help="re-summarize a saved machine-readable report")
-    p.add_argument("--report", help="machine-readable report (.tsv) path")
-    p.add_argument("--cutoffs", help="accuracy cutoffs, comma-separated (default 1,5,10,20)")
-    p.add_argument("--worst", help="how many worst pairs to list (default 10)")
-    p.set_defaults(func=cmd_report)
-
-    for p in sub.choices.values():
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            shown = f" (default {opt.default})" if isinstance(opt.default, str) else ""
+            kind = ({"action": "store_true", "default": None} if opt.conv is _parse_bool
+                    else {"choices": opt.choices})
+            p.add_argument("--" + opt.name, help=opt.help + shown, **kind)
         p.add_argument("--config", help="flat key = value config file")
     return parser
+
+
+def resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's option values, in ``--help`` order: the flag, else the
+    config file's value, else the default. A value that fails to convert
+    names its option, and the config file it came from."""
+    config = load_config(args.config) if args.config else {}
+    values = argparse.Namespace()
+    for opt in COMMANDS[args.command].options:
+        name = opt.name.replace("-", "_")
+        value, source = getattr(args, name), "--" + opt.name
+        if value is None:
+            value, source = config.get(name, opt.default), f"{args.config}: {opt.name}"
+        if value is None:
+            raise ValueError(f"missing required option --{opt.name}")
+        if opt.conv and isinstance(value, str):
+            try:
+                value = opt.conv(value)
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from None
+        setattr(values, name, value)
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command].func(resolve(args))
     except (SpellvarError, OSError, LookupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -375,6 +375,8 @@ def load_report_rows(source) -> list[ReportRow]:
         else:
             try:
                 rank = int(rank_text)
+                if str(rank) != rank_text:  # int() also takes "1_0", " 1", "+1"
+                    raise ValueError
             except ValueError:
                 raise ParseError(f"non-integer rank {rank_text!r}", line=lineno) from None
             if rank < 1:
@@ -383,11 +385,13 @@ def load_report_rows(source) -> list[ReportRow]:
             raise ParseError("rank must be present exactly for scored rows", line=lineno)
         neighbors: list[tuple[str, float]] = []
         for item in split_items(neighbor_text):
-            token, _, sim_text = item.rpartition(":")
+            token, colon, sim_text = item.rpartition(":")
             try:
-                neighbors.append((token, float(sim_text)))
+                if not colon or not np.isfinite(score := float(sim_text)):
+                    raise ValueError
             except ValueError:
                 raise ParseError(f"malformed neighbor {item!r}", line=lineno) from None
+            neighbors.append((token, score))
         rows.append(ReportRow(informal, formal, status, rank, neighbors))
     return rows
 

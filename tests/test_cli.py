@@ -516,6 +516,66 @@ def test_bad_cutoffs_same_error_from_flag_and_config(
     assert from_config == (1, "", f"error: {cfg}: {option}: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("extract", "--defs", "d", "--freq", "f", "--min-freq", "x"),
+                 "--min-freq: invalid literal for int() with base 10: 'x'", id="extract"),
+    pytest.param(("build-vocab", "--corpus", "c", "--min-count", "x"),
+                 "--min-count: invalid literal for int() with base 10: 'x'", id="build-vocab"),
+    pytest.param(("evaluate", "--pairs", "p", "--lexicon", "l", "--embeddings", "e",
+                  "--cutoffs", "x"), "--cutoffs: cutoffs must be integers: 'x'", id="evaluate"),
+    pytest.param(("report", "--report", "r", "--cutoffs", "0", "--worst", "x"),
+                 "--worst: invalid literal for int() with base 10: 'x'", id="report"),
+])
+def test_first_bad_option_in_help_order_is_reported(capsys, argv, message):
+    """Options are resolved in --help order and the first missing or
+    unconvertible one is reported; the range checks of --cutoffs and
+    --worst come after every option is resolved."""
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+# A value other than the default for each option that has one.
+OPTION_VALUES = {"min-freq": "7", "min-count": "3", "format": "headered",
+                 "cutoffs": "2,4", "worst": "3", "no-exclude-self": "true"}
+
+
+def resolved(*argv):
+    return vars(cli.resolve(build_parser().parse_args(list(argv))))
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(name, option, id=f"{name}--{option.name}")
+    for name, command in cli.COMMANDS.items() for option in command.options
+])
+def test_config_value_equals_flag_value(tmp_path, command, option):
+    """Every option reads the same from --config as from its flag, and a
+    value other than its default changes what the command gets."""
+    required = [arg for other in cli.COMMANDS[command].options
+                if other.default is None and other is not option
+                for arg in ("--" + other.name, "x")]
+    value = OPTION_VALUES.get(option.name, "given.tsv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option.name} = {value}\n", encoding="utf-8")
+    flag = ["--" + option.name] if option.conv is _parse_bool else ["--" + option.name, value]
+    from_flag = resolved(command, *required, *flag)
+    assert resolved(command, *required, "--config", str(cfg)) == from_flag
+    if option.default is not None:
+        assert from_flag != resolved(command, *required)
+    if option.conv is _parse_bool:
+        cfg.write_text(f"{option.name} = false\n", encoding="utf-8")
+        assert resolved(command, *required, "--config", str(cfg)) == resolved(command, *required)
+
+
+def test_help_is_unchanged(monkeypatch):
+    """Every --help text, at 80 columns, matches tests/data/cli_help.txt."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    texts = [("spellvar", parser), *subparsers.choices.items()]
+    assert "".join(f"== {name}\n{p.format_help()}" for name, p in texts) == (
+        DATA / "cli_help.txt"
+    ).read_text(encoding="utf-8")
+
+
 class TestReportCommand:
     def test_resummarize(self, tmp_path, capsys):
         emb, lex, pairs, report = write_eval_inputs(tmp_path)
@@ -559,16 +619,20 @@ class TestReportCommand:
 
 
 def test_every_flag_is_read(tmp_path, capsys, monkeypatch):
-    """Each option a subcommand defines, apart from --config, is looked up
-    when the command runs, so no flag is accepted and then ignored."""
+    """Each option a subcommand defines, apart from --config, is read by its
+    command when it runs, so no flag is accepted and then ignored."""
     asked: list[str] = []
-    get = cli.Options.get
+    resolve = cli.resolve
 
-    def recording_get(self, name, *args, **kwargs):
-        asked.append(name)
-        return get(self, name, *args, **kwargs)
+    class Recording:
+        def __init__(self, values):
+            self._values = values
 
-    monkeypatch.setattr(cli.Options, "get", recording_get)
+        def __getattr__(self, name):
+            asked.append(name)
+            return getattr(self._values, name)
+
+    monkeypatch.setattr(cli, "resolve", lambda args: Recording(resolve(args)))
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("ur your babylon\n", encoding="utf-8")
     emb, lex, pairs, report = write_eval_inputs(tmp_path)

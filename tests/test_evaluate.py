@@ -755,8 +755,9 @@ class TestLoadReportRows:
             load_report_rows(b"ur\tyour\tformal_missing\t3\t\n")
 
     def test_bad_rank(self):
-        with pytest.raises(ParseError, match="non-integer"):
-            load_report_rows(b"ur\tyour\tscored\tfirst\t\n")
+        for rank in ("first", "1_0", " 1", "+1"):
+            with pytest.raises(ParseError, match="non-integer"):
+                load_report_rows(f"ur\tyour\tscored\t{rank}\t\n".encode())
         with pytest.raises(ParseError, match=">= 1"):
             load_report_rows(b"ur\tyour\tscored\t0\t\n")
 
@@ -764,7 +765,9 @@ class TestLoadReportRows:
         with pytest.raises(ParseError, match="neighbor"):
             load_report_rows(b"ur\tyour\tscored\t1\tyour\n")
 
-    @pytest.mark.parametrize("neighbors", ["a:0.1,,b:0.2", "a:0.1,", ",a:0.1", "a:x", "a,b:0.1"])
+    @pytest.mark.parametrize("neighbors", [
+        "a:0.1,,b:0.2", "a:0.1,", ",a:0.1", "a:x", "a,b:0.1", "0.5", "a:nan", "a:inf", "a:-inf",
+    ])
     def test_malformed_neighbor_lists(self, neighbors):
         with pytest.raises(ParseError, match="malformed neighbor"):
             load_report_rows(f"ur\tyour\tscored\t1\t{neighbors}\n".encode())

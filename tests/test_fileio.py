@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import stat
@@ -8,6 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import pair
+from spellvar import _fileio
 from spellvar._fileio import (
     UTF8,
     binary_writer,
@@ -168,6 +170,42 @@ class TestPathWriters:
         assert received == [b"piped\n"]
         assert path.read_bytes() == b"new\n"
         assert sorted(os.listdir(tmp_path)) == ["out.fifo", "out.txt"]
+
+    def test_a_failed_close_replaces_no_output(self, tmp_path, monkeypatch):
+        # The first output's buffered bytes meet a full disk only when its
+        # close flushes them, after the second output was written.
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for path in paths:
+            path.write_bytes(b"old\n")
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        opened = []
+
+        def opening(file, mode):
+            opened.append(file)
+            return io.BufferedWriter((FullDisk if len(opened) == 1 else io.FileIO)(file, mode))
+
+        monkeypatch.setattr(_fileio, "open", opening, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            with binary_writers(*paths) as streams:
+                for stream in streams:
+                    stream.write(b"new\n")
+        assert len(opened) == 2
+        assert [path.read_bytes() for path in paths] == [b"old\n", b"old\n"]
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+
+    def test_a_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        with pytest.raises(IsADirectoryError):
+            with binary_writers(first, second) as streams:
+                for stream in streams:
+                    stream.write(b"new\n")
+                second.mkdir()
+        assert first.read_bytes() == b"new\n"
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
 
     def test_stream_sink_stays_open(self):
         sink = io.BytesIO()
