@@ -38,7 +38,6 @@ from .vocab import (
     FrequencyTable,
     build_lexicon,
     count_frequencies,
-    filter_pairs_by_lexicon,
     load_frequencies,
     load_lexicon,
     tokenize,

@@ -96,20 +96,15 @@ def cmd_evaluate(opts: argparse.Namespace) -> int:
     lexicon = vocab.load_lexicon(opts.lexicon)
     table = normalize(load_embeddings(opts.embeddings, format=opts.format))
 
-    retained, removed = vocab.filter_pairs_by_lexicon(pairs, lexicon)
+    retained = [pair for pair in pairs if pair.formal in lexicon]
+    removed = len(pairs) - len(retained)
     if removed:
-        log.info("lexicon filter removed %d of %d pairs", len(removed), len(pairs))
-    report = ev.evaluate_pairs(
-        table,
-        retained,
-        lexicon,
-        config,
-        lexicon_label=opts.lexicon,
-        embedding_label=opts.embeddings,
-    )
+        log.info("lexicon filter removed %d of %d pairs", removed, len(pairs))
+    report = ev.evaluate_pairs(table, retained, lexicon, config)
+    report.lexicon_label, report.embedding_label = opts.lexicon, opts.embeddings
     report.metadata["pairs_file"] = opts.pairs
     report.metadata["embedding_format"] = opts.format
-    report.metadata["pairs_removed_by_lexicon"] = str(len(removed))
+    report.metadata["pairs_removed_by_lexicon"] = str(removed)
 
     ev.write_report(report, opts.report, opts.report + ".tsv")
     print(
@@ -203,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """The command's option values, in ``--help`` order: the flag, else the
     config file's value, else the default. A value that fails to convert
-    names its option, and the config file it came from."""
+    names its option, and the config file it came from; so does a config
+    value outside the option's choices."""
     config = load_config(args.config) if args.config else {}
     values = argparse.Namespace()
     for opt in COMMANDS[args.command].options:
@@ -218,6 +214,9 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
                 value = opt.conv(value)
             except ValueError as exc:
                 raise ValueError(f"{source}: {exc}") from None
+        if opt.choices and value not in opt.choices:
+            choices = ", ".join(map(repr, opt.choices))
+            raise ValueError(f"{source}: invalid choice: {value!r} (choose from {choices})")
         setattr(values, name, value)
     return values
 

@@ -145,11 +145,11 @@ class _Ranker:
             padded[:b] = self.table.matrix[[self.table.index[q] for q, _ in block]]
             # BLAS rounds a dot product differently in another product shape;
             # a fixed one keeps each query's scores independent of its block.
-            cos = (self.pool @ padded.T)[:, :b]
-            cos /= np.multiply.outer(self.norms, np.linalg.norm(padded[:b], axis=1))
+            cos = (padded @ self.pool.T)[:b]
+            cos /= np.multiply.outer(np.linalg.norm(padded[:b], axis=1), self.norms)
             np.clip(cos, -1.0, 1.0, out=cos)
-            for j, (informal, target) in enumerate(block):
-                s = cos[:, j].copy()  # product scores, replaced where scored again
+            # Each row holds one query's product scores, replaced where scored again.
+            for s, q, (informal, target) in zip(cos, padded, block):
                 p = self.position(informal) if exclude_self else None
                 if p is not None:
                     s[p] = -np.inf  # never in the top k: n counts finite scores
@@ -168,7 +168,7 @@ class _Ranker:
                     band = np.flatnonzero(np.abs(gap) <= self.slack)
                     again = np.union1d(again, band) if len(band) > 1 else again
                 for i in again.tolist():
-                    s[i] = cosine(self.pool[i], padded[j])
+                    s[i] = cosine(self.pool[i], q)
                 top = top[np.lexsort((top, -s[top]))][:n]
                 rank = None
                 if target is not None:
@@ -230,8 +230,6 @@ def evaluate_pairs(
     pairs: list[VariantPair],
     lexicon: FormalLexicon,
     config: EvalConfig,
-    lexicon_label: str = "",
-    embedding_label: str = "",
 ) -> EvalReport:
     """Score every pair and aggregate accuracy@c for the config cutoffs.
 
@@ -263,8 +261,6 @@ def evaluate_pairs(
         missing_formal=sum(r.status is PairStatus.FORMAL_MISSING for r in results),
         hits_at=hits_at,
         config=config,
-        lexicon_label=lexicon_label,
-        embedding_label=embedding_label,
         candidate_count=len(ranker.tokens),
         metadata={"lexicon_folding": "lowercase", "corpus_tokenization": TOKENIZATION_NOTE},
     )
@@ -385,9 +381,10 @@ def load_report_rows(source) -> list[ReportRow]:
             raise ParseError("rank must be present exactly for scored rows", line=lineno)
         neighbors: list[tuple[str, float]] = []
         for item in split_items(neighbor_text):
-            token, colon, sim_text = item.rpartition(":")
-            try:
-                if not colon or not np.isfinite(score := float(sim_text)):
+            token, _, sim_text = item.rpartition(":")
+            try:  # as written: a token, and a finite score in "%.6f"
+                score = float(sim_text)
+                if not token or format(score, ".6f") != sim_text or not np.isfinite(score):
                     raise ValueError
             except ValueError:
                 raise ParseError(f"malformed neighbor {item!r}", line=lineno) from None

@@ -20,13 +20,10 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from ._fileio import read_records, text_reader, write_records, write_text
 from .errors import ParseError
-
-if TYPE_CHECKING:
-    from .extract import VariantPair
 
 log = logging.getLogger(__name__)
 
@@ -163,15 +160,3 @@ def write_frequencies(table: FrequencyTable, sink) -> None:
     ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     write_records(sink, ((token, str(count)) for token, count in ranked))
 
-
-def filter_pairs_by_lexicon(
-    pairs: list["VariantPair"], lexicon: FormalLexicon
-) -> tuple[list["VariantPair"], list["VariantPair"]]:
-    """Partition pairs on whether the formal token is in the lexicon.
-
-    Returns (retained, removed) with input order preserved in both lists.
-    """
-    retained, removed = [], []
-    for pair in pairs:
-        (retained if pair.formal in lexicon else removed).append(pair)
-    return retained, removed

@@ -191,9 +191,9 @@ def _fixture_eval(vectors, pairs, lex, extra_tokens=None):
             vectors[token] = list(rng.normal(size=dim))
     table = normalize(make_table(vectors))
     cfg = EvalConfig()
-    return evaluate_pairs(
-        table, pairs, lex, cfg, lexicon_label="lex.txt", embedding_label="emb.vec"
-    )
+    report = evaluate_pairs(table, pairs, lex, cfg)
+    report.lexicon_label, report.embedding_label = "lex.txt", "emb.vec"
+    return report
 
 
 def test_criterion_4_vocabulary_restriction_invariance():

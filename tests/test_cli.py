@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spellvar
 from helpers import (
@@ -391,6 +396,59 @@ class TestEvaluateCommand:
         assert "pairs: 2  evaluated: 1" in out
         assert "pairs_removed_by_lexicon: 1" in report.read_text(encoding="utf-8")
 
+    def test_lexicon_prefilter_keeps_input_order(self, tmp_path):
+        emb, lex, pairs, report = write_eval_inputs(tmp_path, pairs_lines=(
+            "ur\tyour\te1\tdouble_quote\tunvalidated",
+            "braj\tbrah\te2\tdouble_quote\tunvalidated",
+            "ur\tbabylon\te3\tdouble_quote\tunvalidated",
+            "x\tzzz\te4\tdouble_quote\tunvalidated",
+            "ghost\tyour\te5\tdouble_quote\tunvalidated",
+        ))
+        src = str(Path(spellvar.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "spellvar", "evaluate", "--pairs", str(pairs),
+             "--lexicon", str(lex), "--embeddings", str(emb), "--report", str(report)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "lexicon filter removed 2 of 5 pairs\n")
+        assert done.stdout.startswith("pairs: 5  evaluated: 3  scored: 2  ")
+        assert "\npairs_removed_by_lexicon: 2\n" in report.read_text(encoding="utf-8")
+        rows = (tmp_path / "out.report.tsv").read_text(encoding="utf-8").splitlines()
+        assert [row.split("\t")[:3] for row in rows] == [
+            ["ur", "your", "scored"], ["ur", "babylon", "scored"],
+            ["ghost", "your", "informal_missing"],
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "ab"]),
+                              st.text(alphabet="cd", min_size=1, max_size=2)), max_size=8),
+           st.sets(st.text(alphabet="cd", min_size=1, max_size=2), min_size=1, max_size=4))
+    def test_lexicon_prefilter_property(self, raw_pairs, lex_tokens):
+        """evaluate scores exactly the pairs whose formal token is in the
+        lexicon, in input order, and counts the rest as removed; evaluated
+        again, the kept pairs lose nothing."""
+        kept = [(i, f) for i, f in raw_pairs if f in lex_tokens]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "emb.vec").write_text(
+                "a 1 0\nb 0 1\nc 1 1\nd 1 2\ncc 2 1\ncd 3 1\ndc 1 3\n", encoding="utf-8")
+            write_lexicon(lexicon_of(*lex_tokens), str(tmp / "lex.txt"))
+            for name, these in (("all.tsv", raw_pairs), ("kept.tsv", kept)):
+                write_pairs([pair(i, f, entry_id=f"e{n}") for n, (i, f) in enumerate(these)],
+                            str(tmp / name))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["evaluate", "--pairs", str(tmp / name),
+                                 "--lexicon", str(tmp / "lex.txt"),
+                                 "--embeddings", str(tmp / "emb.vec"),
+                                 "--report", str(tmp / "r")]) == 0
+                assert out.getvalue().startswith(f"pairs: {len(these)}  evaluated: {len(kept)}  ")
+                removed = f"\npairs_removed_by_lexicon: {len(these) - len(kept)}\n"
+                assert removed in (tmp / "r").read_text(encoding="utf-8")
+                rows = (tmp / "r.tsv").read_text(encoding="utf-8").splitlines()
+                assert [tuple(row.split("\t")[:2]) for row in rows] == kept
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         emb, lex, pairs, report = write_eval_inputs(tmp_path)
         argv = (
@@ -514,6 +572,21 @@ def test_bad_cutoffs_same_error_from_flag_and_config(
     from_config = run(capsys, command, *inputs, "--config", str(cfg))
     assert from_flag == (1, "", f"error: --{option}: {message}\n")
     assert from_config == (1, "", f"error: {cfg}: {option}: {message}\n")
+
+
+def test_config_value_outside_choices_names_the_file(tmp_path, capsys):
+    """A config value outside an option's choices fails before any input is
+    read, naming the file; a bad flag value stays argparse's usage error."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = bogus\n", encoding="utf-8")
+    argv = ("evaluate", "--pairs", str(tmp_path / "absent.tsv"), "--lexicon", "l",
+            "--embeddings", "e", "--report", str(tmp_path / "r"))
+    assert run(capsys, *argv, "--config", str(cfg)) == (
+        1, "", f"error: {cfg}: format: invalid choice: 'bogus' (choose from 'plain', 'headered')\n")
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, "--format", "bogus"])
+    assert caught.value.code == 2
+    assert "argument --format: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,12 +1,23 @@
 import re
 from pathlib import Path
 
+from helpers import lexicon_of, pair
+
 README = Path(__file__).parent.parent / "README.md"
 
 
-def test_readme_library_import_runs():
-    # the "Library use" block's import names the public API; each name must exist
-    block = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
-    statement = re.search(r"^from spellvar import \(.*?\)$", block, re.M | re.S)
-    assert statement is not None
-    exec(statement[0], {})
+def test_readme_library_import_runs(tmp_path, monkeypatch):
+    # the "Library use" block names the public API and its signatures; it
+    # must run as written, given the lexicon and pairs it leaves to the reader
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```$", section, re.M | re.S)
+    assert block is not None and block[1].startswith("from spellvar import (")
+    (tmp_path / "vectors.vec").write_text(
+        "ur 1 0\nyour 0.9 0.1\nthe 0 1\nu 0.2 0.8\n", encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    names = {"lexicon": lexicon_of("your", "the"), "pairs": [pair("ur", "your"), pair("u", "you")]}
+    exec(block[1], names)
+    assert [token for token, _ in names["neighbors"]] == ["your", "the"]
+    assert [r.status.value for r in names["report"].per_pair] == ["scored", "formal_missing"]
+    assert names["report"].per_pair[0].rank == 1

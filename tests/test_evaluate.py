@@ -507,8 +507,8 @@ class TestRankingEngineEdges:
 
     def test_ranking_holds_one_block_array_beside_the_product(self):
         # At dim 8 each block's pool x BLOCK float64 product outweighs the
-        # ranker's own pool. Beside it a block holds the norm product it is
-        # divided by and one query's scores at a time.
+        # ranker's own pool. Beside it a block holds only the norm product it
+        # is divided by; each query is ranked in its own row of the product.
         table = normalize(random_table(np.random.default_rng(5), 20_000, 8))
         lex = lexicon_of(*table.vocabulary)
         pairs = [
@@ -767,6 +767,8 @@ class TestLoadReportRows:
 
     @pytest.mark.parametrize("neighbors", [
         "a:0.1,,b:0.2", "a:0.1,", ",a:0.1", "a:x", "a,b:0.1", "0.5", "a:nan", "a:inf", "a:-inf",
+        "a:0.100000,,b:0.200000", "a:0.100000,",
+        ":0.500000", "a:1_0.5", "a:0.5", "a:+0.500000", "a: 0.500000",
     ])
     def test_malformed_neighbor_lists(self, neighbors):
         with pytest.raises(ParseError, match="malformed neighbor"):

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import lexicon_of, pair, reference_counts, reference_lexicon, reference_tokenize
+from helpers import lexicon_of, reference_counts, reference_lexicon, reference_tokenize
 from spellvar.errors import ParseError
 from spellvar.vocab import (
-    FormalLexicon,
     FrequencyTable,
     build_lexicon,
     count_frequencies,
-    filter_pairs_by_lexicon,
     load_frequencies,
     load_lexicon,
     tokenize,
@@ -222,48 +220,3 @@ class TestFrequencies:
         assert freq.total_tokens == 0
         assert freq["anything"] == 0
 
-
-class TestFilterByLexicon:
-    def test_partition(self):
-        lex = lexicon_of("sucks", "your")
-        pairs = [pair("suxx", "sucks"), pair("braj", "brah"), pair("ur", "your")]
-        kept, removed = filter_pairs_by_lexicon(pairs, lex)
-        assert [p.formal for p in kept] == ["sucks", "your"]
-        assert [p.formal for p in removed] == ["brah"]
-
-    def test_order_preserved(self):
-        lex = lexicon_of("b", "d")
-        pairs = [pair("p1", "d"), pair("p2", "b"), pair("p3", "d")]
-        kept, _ = filter_pairs_by_lexicon(pairs, lex)
-        assert [p.formal for p in kept] == ["d", "b", "d"]
-
-    def test_idempotent(self):
-        lex = lexicon_of("sucks")
-        pairs = [pair("suxx", "sucks"), pair("braj", "brah")]
-        kept, _ = filter_pairs_by_lexicon(pairs, lex)
-        again, removed = filter_pairs_by_lexicon(kept, lex)
-        assert again == kept
-        assert removed == []
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.text(alphabet="ab", min_size=1, max_size=3),
-                st.text(alphabet="cd", min_size=1, max_size=3),
-            ),
-            max_size=12,
-        ),
-        st.sets(st.text(alphabet="cd", min_size=1, max_size=3), max_size=6),
-    )
-    @settings(max_examples=100)
-    def test_partition_property(self, raw_pairs, lex_tokens):
-        pairs = [pair(f"{inf}{i}", formal, entry_id=f"e{i}") for i, (inf, formal) in enumerate(raw_pairs)]
-        lex = FormalLexicon(tokens=frozenset(lex_tokens))
-        kept, removed = filter_pairs_by_lexicon(pairs, lex)
-        assert len(kept) + len(removed) == len(pairs)
-        assert all(p.formal in lex for p in kept)
-        assert all(p.formal not in lex for p in removed)
-        # the partition interleaves back into the original sequence
-        ki, ri = iter(kept), iter(removed)
-        rebuilt = [next(ki) if p.formal in lex else next(ri) for p in pairs]
-        assert rebuilt == pairs
