@@ -8,9 +8,9 @@ with TypeError. Only paths are opened (and closed) here. Text is UTF-8 with
 is written back as the same byte. A path is written through a sibling
 temporary file that replaces it only once the whole output is written, so a
 failed write leaves the old file as it was; ``binary_writers`` extends that
-to every output of one command. Binary streams handed to the text helpers
-get a UTF-8 view that is detached on exit, so the caller's stream stays
-open.
+to every output of one command. ``text_reader`` is the one place that
+decodes, dropping a leading UTF-8 byte-order mark, and ``write_text`` the
+one place that encodes, writing none; a caller's stream stays open.
 
 Records. A record is one line of tab-separated fields. In every field a
 backslash, tab, line feed and carriage return are written ``\\\\``, ``\\t``,
@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
-UTF8 = {"encoding": "utf-8", "errors": "surrogateescape"}  # the one text encoding rule
+UTF8 = {"encoding": "utf-8", "errors": "surrogateescape"}  # text_reader also drops a BOM
 _BACKSLASH_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
@@ -51,15 +51,6 @@ def _escaper(letters: dict[str, str]):
 
 _escape, _unescape = _escaper({"\\": "\\", "\t": "t", "\n": "n", "\r": "r"})
 _escape_item, _unescape_item = _escaper({"\\": "\\", ",": "c"})
-
-
-@contextmanager
-def binary_reader(source):
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as f:
-            yield f
-    else:
-        yield io.BytesIO(source) if isinstance(source, bytes) else source
 
 
 @contextmanager
@@ -101,30 +92,24 @@ def _open(sink, stack, renames):
 
 
 @contextmanager
-def binary_writer(sink):
-    with binary_writers(sink) as (stream,):
-        yield stream
-
-
-@contextmanager
-def _text(target, binary, newline=None):
-    """``target`` as a text stream: a UTF-8 view of what ``binary`` opens,
-    detached on exit so that stream stays open."""
-    with binary(target) as raw:
-        stream = io.TextIOWrapper(raw, newline=newline, **UTF8)
+def text_reader(source):
+    """A text stream over a path, bytes or the caller's binary stream, which
+    it leaves open."""
+    with ExitStack() as stack:
+        if isinstance(source, (str, Path)):
+            source = stack.enter_context(open(source, "rb"))
+        elif isinstance(source, bytes):
+            source = io.BytesIO(source)
+        stream = io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape")
         try:
             yield stream
         finally:
-            stream.detach()  # flushes
-
-
-def text_reader(source):
-    return _text(source, binary_reader)
+            stream.detach()
 
 
 def write_text(sink, text: str) -> None:
-    with _text(sink, binary_writer, newline="\n") as stream:
-        stream.write(text)
+    with binary_writers(sink) as (stream,):
+        stream.write(text.encode(**UTF8))
 
 
 def format_record(fields: Sequence[str]) -> str:
@@ -136,8 +121,7 @@ def format_record(fields: Sequence[str]) -> str:
 
 
 def write_records(sink, records: Iterable[Sequence[str]]) -> None:
-    with _text(sink, binary_writer, newline="\n") as stream:
-        stream.writelines(map(format_record, records))
+    write_text(sink, "".join(map(format_record, records)))
 
 
 def read_records(source, width: int) -> Iterator[tuple[int, list[str]]]:

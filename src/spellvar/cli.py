@@ -27,9 +27,17 @@ log = logging.getLogger(__name__)
 
 def _parse_cutoffs(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(c) for c in text.split(",") if c)
+        cutoffs = tuple(int(c) for c in text.split(",") if c)
     except ValueError:
         raise ValueError(f"cutoffs must be integers: {text!r}") from None
+    return ev.check_cutoffs(cutoffs)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -89,8 +97,8 @@ def cmd_count_freq(opts: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(opts: argparse.Namespace) -> int:
-    cutoffs = ev.check_cutoffs(opts.cutoffs)
-    config = ev.EvalConfig(k=max(cutoffs), cutoffs=cutoffs, exclude_self=not opts.no_exclude_self)
+    config = ev.EvalConfig(k=max(opts.cutoffs), cutoffs=opts.cutoffs,
+                           exclude_self=not opts.no_exclude_self)
 
     pairs = ex.read_pairs(opts.pairs)
     lexicon = vocab.load_lexicon(opts.lexicon)
@@ -119,12 +127,8 @@ def cmd_evaluate(opts: argparse.Namespace) -> int:
 
 
 def cmd_report(opts: argparse.Namespace) -> int:
-    cutoffs = ev.check_cutoffs(opts.cutoffs)
-    if opts.worst < 1:
-        raise ValueError(f"--worst must be >= 1, got {opts.worst}")
-
     rows = ev.load_report_rows(opts.report)
-    scored_count, hits_at = ev.summarize_rows(rows, cutoffs)
+    scored_count, hits_at = ev.summarize_rows(rows, opts.cutoffs)
     print(f"pairs: {len(rows)}  scored: {scored_count}")
     for line in ev.accuracy_summary(hits_at, scored_count):
         print(line)
@@ -145,12 +149,12 @@ COMMANDS = {
     "extract": Command(cmd_extract, "mine candidate pairs from a definitions dump", (
         Option("defs", "definitions dump (id TAB headword TAB definition)"),
         Option("freq", "token TAB count frequency file"),
-        Option("min-freq", "drop headwords rarer than this", int, "100"),
+        Option("min-freq", "drop headwords rarer than this", _positive_int, "100"),
         Option("pairs", "output pairs file"),
     )),
     "build-vocab": Command(cmd_build_vocab, "build a formal lexicon from a corpus", (
         Option("corpus", "plain-text corpus file"),
-        Option("min-count", "minimum occurrences", int, "1"),
+        Option("min-count", "minimum occurrences", _positive_int, "1"),
         Option("lexicon", "output lexicon file, one token per line"),
     )),
     "count-freq": Command(cmd_count_freq, "count token frequencies in a corpus", (
@@ -170,7 +174,7 @@ COMMANDS = {
     "report": Command(cmd_report, "re-summarize a saved machine-readable report", (
         Option("report", "machine-readable report (.tsv) path"),
         _CUTOFFS,
-        Option("worst", "how many worst pairs to list", int, "10"),
+        Option("worst", "how many worst pairs to list", _positive_int, "10"),
     )),
 }
 
@@ -197,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """The command's option values, in ``--help`` order: the flag, else the
-    config file's value, else the default. A value that fails to convert
-    names its option, and the config file it came from; so does a config
-    value outside the option's choices."""
+    config file's value, else the default. A value that fails to convert or
+    is out of range names its option, and the config file it came from; so
+    does a config value outside the option's choices."""
     config = load_config(args.config) if args.config else {}
     values = argparse.Namespace()
     for opt in COMMANDS[args.command].options:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 
-from spellvar._fileio import UTF8, binary_writer, write_records
+from spellvar._fileio import UTF8, binary_writers, write_records
 from spellvar.embeddings import EmbeddingTable
 from spellvar.extract import Delimiter, VariantPair
 from spellvar.vocab import FormalLexicon
@@ -39,7 +39,7 @@ def write_embeddings(table: EmbeddingTable, sink, format: str = "plain") -> None
     """
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
-    with binary_writer(sink) as stream:
+    with binary_writers(sink) as (stream,):
         if format == "headered":
             stream.write(f"{len(table)} {table.dimension}\n".encode("ascii"))
         for token, row in zip(table.vocabulary, table.matrix):

@@ -533,7 +533,7 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: cutoffs must be")
+        assert err.startswith("error: --cutoffs: cutoffs must be")
         assert not report.exists()
 
 
@@ -548,6 +548,13 @@ class TestEvaluateCommand:
                  "invalid literal for int() with base 10: '2.5'", id="extract-min-freq"),
     pytest.param("build-vocab", "min-count", "many",
                  "invalid literal for int() with base 10: 'many'", id="build-vocab-min-count"),
+    pytest.param("evaluate", "cutoffs", "0",
+                 "cutoffs must be strictly increasing positive integers: (0,)",
+                 id="evaluate-cutoffs-range"),
+    pytest.param("report", "worst", "0", "must be >= 1, got 0", id="report-worst-range"),
+    pytest.param("extract", "min-freq", "0", "must be >= 1, got 0", id="extract-min-freq-range"),
+    pytest.param("build-vocab", "min-count", "0", "must be >= 1, got 0",
+                 id="build-vocab-min-count-range"),
 ])
 def test_bad_cutoffs_same_error_from_flag_and_config(
     tmp_path, capsys, command, option, value, message
@@ -597,12 +604,12 @@ def test_config_value_outside_choices_names_the_file(tmp_path, capsys):
     pytest.param(("evaluate", "--pairs", "p", "--lexicon", "l", "--embeddings", "e",
                   "--cutoffs", "x"), "--cutoffs: cutoffs must be integers: 'x'", id="evaluate"),
     pytest.param(("report", "--report", "r", "--cutoffs", "0", "--worst", "x"),
-                 "--worst: invalid literal for int() with base 10: 'x'", id="report"),
+                 "--cutoffs: cutoffs must be strictly increasing positive integers: (0,)",
+                 id="report"),
 ])
 def test_first_bad_option_in_help_order_is_reported(capsys, argv, message):
-    """Options are resolved in --help order and the first missing or
-    unconvertible one is reported; the range checks of --cutoffs and
-    --worst come after every option is resolved."""
+    """Options are resolved in --help order and the first one missing,
+    unconvertible or out of range is reported."""
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
@@ -678,7 +685,7 @@ class TestReportCommand:
             (("--cutoffs", "0"), "cutoffs must be strictly increasing positive integers"),
             (("--cutoffs", "-3"), "cutoffs must be strictly increasing positive integers"),
             (("--cutoffs", ""), "cutoffs must be non-empty"),
-            (("--worst", "0"), "--worst must be >= 1"),
+            (("--worst", "0"), "--worst: must be >= 1, got 0"),
         ],
         ids=["cutoffs=0", "cutoffs=-3", "cutoffs=empty", "worst=0"],
     )

@@ -23,7 +23,7 @@ from spellvar.extract import (
     read_pairs,
     write_pairs,
 )
-from spellvar.vocab import FrequencyTable
+from spellvar.vocab import FrequencyTable, count_frequencies, tokenize
 
 DATA = Path(__file__).parent / "data"
 
@@ -259,6 +259,17 @@ class TestApplyFilters:
             + stats.excluded_nonascii
         )
         assert len(kept) == 1
+
+    def test_headword_is_looked_up_as_written_not_as_tokenized(self):
+        # The corpus counts "'sup" as "sup", and "ur mom" as two tokens; a
+        # headword meets the table lowercased as written, so neither is found.
+        freq = count_frequencies(tokenize("'sup 'sup 'sup ur mom"))
+        assert (freq["sup"], freq["ur"], freq["mom"]) == (3, 1, 1)
+        entries = [DefinitionEntry("e1", "'Sup", 'A spelling of "wassup".'),
+                   DefinitionEntry("e2", "ur mom", 'A spelling of "yourmom".')]
+        kept, stats = mine_pairs(entries, freq, 1)
+        assert kept == []
+        assert (stats.candidates_extracted, stats.excluded_frequency) == (2, 2)
 
     def test_bad_min_freq(self):
         with pytest.raises(ValueError, match="min_freq"):

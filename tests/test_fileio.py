@@ -1,3 +1,4 @@
+import codecs
 import errno
 import io
 import os
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from helpers import pair
 from spellvar import _fileio
+from spellvar.cli import load_config
+from spellvar.embeddings import load_embeddings
 from spellvar._fileio import (
     UTF8,
-    binary_writer,
     binary_writers,
     format_record,
     join_items,
@@ -23,7 +25,9 @@ from spellvar._fileio import (
     write_text,
 )
 from spellvar.errors import ParseError
-from spellvar.extract import write_pairs
+from spellvar.evaluate import load_report_rows
+from spellvar.extract import read_definitions, read_pairs, write_pairs
+from spellvar.vocab import load_frequencies, load_lexicon
 
 
 class TestRecordCodec:
@@ -57,8 +61,10 @@ class TestRecordCodec:
         assert split_items("") == []
 
 
-# Line ends, and bytes that are not UTF-8 or that str.splitlines() would split at.
-_ODD_PIECES = [b"\n", b"\r", b"\r\n", b"\x85", "\u2028".encode(), b"\xff", b"\xc3", b"\xed\xa0\x80"]
+# Line ends, bytes that are not UTF-8 or that str.splitlines() would split at,
+# and the byte-order mark.
+_ODD_PIECES = [b"\n", b"\r", b"\r\n", b"\x85", "\u2028".encode(), b"\xff", b"\xc3", b"\xed\xa0\x80",
+               codecs.BOM_UTF8]
 
 
 @st.composite
@@ -81,7 +87,43 @@ class TestTextReader:
     def test_lines_re_encoded_are_the_splitlines_of_the_bytes(self, raw):
         with text_reader(raw) as stream:
             lines = [line.rstrip("\n").encode(**UTF8) for line in stream]
-        assert lines == raw.splitlines()
+        assert lines == raw.removeprefix(codecs.BOM_UTF8).splitlines()
+
+
+def _table(table):
+    return table.vocabulary, table.matrix.tobytes()
+
+
+# Each loader, and an input whose second line holds a U+FEFF of its own.
+_LOADERS = {
+    "config": (load_config, "worst = 1\nname = a\ufeffb\n"),
+    "lexicon": (load_lexicon, "your\nthe\ufeff\n"),
+    "frequencies": (load_frequencies, "ur\t5\nyo\ufeffu\t3\n"),
+    "pairs": (read_pairs, "ur\tyour\te1\tdouble_quote\tunvalidated\n"
+                          "u\ufeff\tyou\te2\tbracket\tunvalidated\n"),
+    "definitions": (lambda path: list(read_definitions(path)),
+                    'ud01\tsuxx\tA spelling of "sucks".\nud02\tu\ufeff\tyou\n'),
+    "report": (load_report_rows, "ur\tyour\tscored\t1\tyour:0.993884\n"
+                                 "u\ufeff\tyou\tinformal_missing\t-\t\n"),
+    "plain embeddings": (lambda path: _table(load_embeddings(path)),
+                         "ur 1 0\nyo\ufeffu 0.9 0.1\n"),
+    "headered embeddings": (lambda path: _table(load_embeddings(path, format="headered")),
+                            "2 2\nur 1 0\nyo\ufeffu 0.9 0.1\n"),
+}
+
+
+@pytest.mark.parametrize("name", _LOADERS)
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, name):
+    """Each loader reads a file that starts with a UTF-8 byte-order mark as it
+    reads the same file without one; a U+FEFF further on reads as itself."""
+    load, text = _LOADERS[name]
+    paths = {}
+    for kind, data in [("plain", text.encode()), ("marked", codecs.BOM_UTF8 + text.encode()),
+                       ("stripped", text.replace("\ufeff", "").encode())]:
+        paths[kind] = tmp_path / kind
+        paths[kind].write_bytes(data)
+    assert load(str(paths["marked"])) == load(str(paths["plain"]))
+    assert load(str(paths["marked"])) != load(str(paths["stripped"]))
 
 
 class TestPathWriters:
@@ -102,7 +144,7 @@ class TestPathWriters:
         path = tmp_path / "table.vec"
         path.write_bytes(b"old 1 2\n")
         with pytest.raises(RuntimeError):
-            with binary_writer(path) as stream:
+            with binary_writers(path) as (stream,):
                 stream.write(b"new 3 4\n")
                 raise RuntimeError("interrupted")
         assert path.read_bytes() == b"old 1 2\n"
