@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 from collections import namedtuple
 from itertools import chain
@@ -50,11 +51,11 @@ def _parse_bool(text: str) -> bool:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file; '#' opening a line or a word starts a comment."""
     values: dict[str, str] = {}
     with text_reader(path) as stream:
         for lineno, line in enumerate(stream, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
@@ -104,33 +105,35 @@ def cmd_evaluate(opts: argparse.Namespace) -> int:
     lexicon = vocab.load_lexicon(opts.lexicon)
     table = normalize(load_embeddings(opts.embeddings, format=opts.format))
 
-    retained = [pair for pair in pairs if pair.formal in lexicon]
-    removed = len(pairs) - len(retained)
+    reviewed = [pair for pair in pairs if not pair.validation.value.startswith("rejected")]
+    if len(reviewed) < len(pairs):
+        log.info("validation rejected %d of %d pairs", len(pairs) - len(reviewed), len(pairs))
+    retained = [pair for pair in reviewed if pair.formal in lexicon]
+    removed = len(reviewed) - len(retained)
     if removed:
-        log.info("lexicon filter removed %d of %d pairs", removed, len(pairs))
+        log.info("lexicon filter removed %d of %d pairs", removed, len(reviewed))
     report = ev.evaluate_pairs(table, retained, lexicon, config)
-    report.lexicon_label, report.embedding_label = opts.lexicon, opts.embeddings
-    report.metadata["pairs_file"] = opts.pairs
-    report.metadata["embedding_format"] = opts.format
-    report.metadata["pairs_removed_by_lexicon"] = str(removed)
+    report.metadata.update(lexicon=opts.lexicon, embeddings=opts.embeddings, pairs_file=opts.pairs,
+                           embedding_format=opts.format, pairs_removed_by_lexicon=str(removed))
 
     ev.write_report(report, opts.report, opts.report + ".tsv")
+    counts, hits_at = ev.summarize_rows(report.per_pair, config.cutoffs)
+    scored = counts[ev.PairStatus.SCORED]
     print(
-        f"pairs: {len(pairs)}  evaluated: {len(retained)}  "
-        f"scored: {report.scored_count}  "
-        f"missing_informal: {report.missing_informal}  "
-        f"missing_formal: {report.missing_formal}"
+        f"pairs: {len(pairs)}  evaluated: {len(retained)}  scored: {scored}  "
+        f"missing_informal: {counts[ev.PairStatus.INFORMAL_MISSING]}  "
+        f"missing_formal: {counts[ev.PairStatus.FORMAL_MISSING]}"
     )
-    for line in ev.accuracy_summary(report.hits_at, report.scored_count):
+    for line in ev.accuracy_summary(hits_at, scored):
         print(line)
     return 0
 
 
 def cmd_report(opts: argparse.Namespace) -> int:
     rows = ev.load_report_rows(opts.report)
-    scored_count, hits_at = ev.summarize_rows(rows, opts.cutoffs)
-    print(f"pairs: {len(rows)}  scored: {scored_count}")
-    for line in ev.accuracy_summary(hits_at, scored_count):
+    counts, hits_at = ev.summarize_rows(rows, opts.cutoffs)
+    print(f"pairs: {len(rows)}  scored: {counts[ev.PairStatus.SCORED]}")
+    for line in ev.accuracy_summary(hits_at, counts[ev.PairStatus.SCORED]):
         print(line)
     print(ev.diagnostics_rows(rows, opts.worst), end="")
     return 0

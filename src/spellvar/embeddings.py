@@ -79,9 +79,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.vocabulary)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
 
 def _parse_row(line: bytes, dimension: int, lineno: int) -> np.ndarray:
     """One record's values as float32, or the ParseError for its line."""
@@ -234,8 +231,12 @@ def cosine(u: Iterable[float], v: Iterable[float]) -> float:
     b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = math.fsum((a * a).tolist())
-    nb = math.fsum((b * b).tolist())
-    if na == 0.0 or nb == 0.0:
+    dot = math.fsum((a * b).tolist())
+    return cosine_of_sums(dot, math.fsum((a * a).tolist()), math.fsum((b * b).tolist()))
+
+
+def cosine_of_sums(ab: float, aa: float, bb: float) -> float:
+    """``cosine`` from the ``math.fsum`` sums of u·v, u·u and v·v."""
+    if aa == 0.0 or bb == 0.0:
         raise DegenerateVectorError("cosine of a zero vector is undefined")
-    return max(-1.0, min(1.0, math.fsum((a * b).tolist()) / (math.sqrt(na) * math.sqrt(nb))))
+    return max(-1.0, min(1.0, ab / (math.sqrt(aa) * math.sqrt(bb))))

@@ -14,16 +14,18 @@ the lexicon cannot enter any ranking.
 A score is ``embeddings.cosine`` of the two float32 rows. One engine,
 ``_Ranker``, serves ``evaluate_pairs`` and ``rank_formal_neighbors``: it
 builds the pool once, filters queries in fixed blocks of one float64 matrix
-product each, scores again with ``cosine`` wherever the product's rounding
-could decide an order, a rank or a written digit, and counts each target's
-rank without sorting the pool. ``brute_force_rank`` ranks with one
+product each, scores again as ``cosine`` does wherever the product's
+rounding could decide an order, a rank or a written digit, and counts each
+target's rank without sorting the pool. ``brute_force_rank`` ranks with one
 ``cosine`` at a time and serves as the oracle in the tests.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -32,7 +34,7 @@ import numpy as np
 from ._fileio import (
     binary_writers, format_record, join_items, read_records, split_items, write_text,
 )
-from .embeddings import EmbeddingTable, cosine
+from .embeddings import EmbeddingTable, cosine, cosine_of_sums
 from .errors import DegenerateVectorError, MissingTokenError, ParseError
 from .extract import VariantPair
 from .vocab import TOKENIZATION_NOTE, FormalLexicon
@@ -88,19 +90,9 @@ class PairResult:
 @dataclass
 class EvalReport:
     per_pair: list[PairResult]
-    scored_count: int
-    missing_informal: int
-    missing_formal: int
-    hits_at: dict[int, int]  # cutoff -> scored pairs ranked within it; {} if none
     config: EvalConfig
-    lexicon_label: str = ""
-    embedding_label: str = ""
     candidate_count: int = 0
     metadata: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def accuracy_at(self) -> dict[int, float]:
-        return {c: h / self.scored_count for c, h in self.hits_at.items()}
 
 
 class _Ranker:
@@ -109,7 +101,7 @@ class _Ranker:
     The pool (lexicon tokens with nonzero vectors, in token order) is built
     once. ``search`` scores BLOCK queries per float64 matrix product as
     ``(C·q) / (|C|·|q|)`` clipped to [-1, 1]. Scores within ``slack`` of one
-    another, or of a ``%.6f`` rounding edge, are scored again by ``cosine``.
+    another, or of a ``%.6f`` rounding edge, are scored again by ``rescore``.
     """
 
     def __init__(self, table: EmbeddingTable, lexicon: FormalLexicon):
@@ -126,6 +118,7 @@ class _Ranker:
         # edge, order and print as their `cosine` values do.
         n = 3 * table.dimension + 9
         self.slack = 2 * n * 2.0**-53 / (1 - n * 2.0**-53)
+        self.sq = np.full(len(self.tokens), np.nan)  # fsum of row², summed when first needed
 
     def position(self, token: str) -> int | None:
         p = bisect_left(self.tokens, token)
@@ -167,14 +160,22 @@ class _Ranker:
                     gap = s - s[t]
                     band = np.flatnonzero(np.abs(gap) <= self.slack)
                     again = np.union1d(again, band) if len(band) > 1 else again
-                for i in again.tolist():
-                    s[i] = cosine(self.pool[i], q)
+                if len(again):
+                    s[again] = self.rescore(again, q)
                 top = top[np.lexsort((top, -s[top]))][:n]
                 rank = None
                 if target is not None:
                     ties = (s[band] > s[t]) | ((s[band] == s[t]) & (band < t))
                     rank = 1 + np.count_nonzero(gap > self.slack) + np.count_nonzero(ties)
                 yield [(self.tokens[i], float(s[i])) for i in top], rank
+
+    def rescore(self, rows: np.ndarray, q: np.ndarray) -> list[float]:
+        """``cosine(self.pool[i], q)`` for each i in ``rows``, bit for bit, batched."""
+        new = rows[np.isnan(self.sq[rows])]
+        self.sq[new] = list(map(math.fsum, (self.pool[new] * self.pool[new]).tolist()))
+        qq = math.fsum((q * q).tolist())
+        dots = map(math.fsum, (self.pool[rows] * q).tolist())
+        return [cosine_of_sums(d, rr, qq) for d, rr in zip(dots, self.sq[rows].tolist())]
 
 
 def rank_formal_neighbors(
@@ -231,7 +232,7 @@ def evaluate_pairs(
     lexicon: FormalLexicon,
     config: EvalConfig,
 ) -> EvalReport:
-    """Score every pair and aggregate accuracy@c for the config cutoffs.
+    """Score every pair; ``summarize_rows`` counts the results.
 
     Pair statuses: informal_missing when the informal token is absent
     from the vocabulary (or has a zero vector), formal_missing when the
@@ -253,16 +254,12 @@ def evaluate_pairs(
     queries = [(r.pair.informal, r.pair.formal) for r in scored]
     for r, (top, rank) in zip(scored, ranker.search(queries, config.k, config.exclude_self)):
         r.top_neighbors, r.rank = top, rank
-    scored_count, hits_at = summarize_rows(results, config.cutoffs)
     return EvalReport(
         per_pair=results,
-        scored_count=scored_count,
-        missing_informal=sum(r.status is PairStatus.INFORMAL_MISSING for r in results),
-        missing_formal=sum(r.status is PairStatus.FORMAL_MISSING for r in results),
-        hits_at=hits_at,
         config=config,
         candidate_count=len(ranker.tokens),
-        metadata={"lexicon_folding": "lowercase", "corpus_tokenization": TOKENIZATION_NOTE},
+        metadata={"lexicon": "", "embeddings": "", "lexicon_folding": "lowercase",
+                  "corpus_tokenization": TOKENIZATION_NOTE},
     )
 
 
@@ -306,26 +303,25 @@ def _result_fields(r: PairResult) -> tuple[str, ...]:
 def render_report_text(report: EvalReport) -> str:
     """Human-oriented report: key:value header then a per-pair table."""
     cfg = report.config
+    counts, hits_at = summarize_rows(report.per_pair, cfg.cutoffs)
+    n = counts[PairStatus.SCORED]
     lines = [
         "spelling-variant evaluation report",
         f"k: {cfg.k}",
         f"cutoffs: {','.join(str(c) for c in cfg.cutoffs)}",
         f"exclude_self: {str(cfg.exclude_self).lower()}",
-        f"lexicon: {report.lexicon_label}",
-        f"embeddings: {report.embedding_label}",
     ]
     lines += [f"{key}: {value}" for key, value in report.metadata.items()]
     lines += [
         f"formal_candidates: {report.candidate_count}",
         f"pairs: {len(report.per_pair)}",
-        f"scored: {report.scored_count}",
-        f"missing_informal: {report.missing_informal}",
-        f"missing_formal: {report.missing_formal}",
+        f"scored: {n}",
+        f"missing_informal: {counts[PairStatus.INFORMAL_MISSING]}",
+        f"missing_formal: {counts[PairStatus.FORMAL_MISSING]}",
     ]
-    if not report.scored_count:
+    if not n:
         lines.append("warning: no scored pairs, accuracy undefined")
-    n = report.scored_count
-    for c, h in sorted(report.hits_at.items()):
+    for c, h in sorted(hits_at.items()):
         lines.append(f"accuracy@{c}: {h / n:.6f} ({h}/{n})")
     lines.append("")
     lines.append("informal\tformal\tstatus\trank\ttop_neighbors")
@@ -393,13 +389,9 @@ def load_report_rows(source) -> list[ReportRow]:
     return rows
 
 
-def summarize_rows(
-    rows: Iterable[PairResult | ReportRow], cutoffs: Iterable[int]
-) -> tuple[int, dict[int, int]]:
-    """``(scored_count, hits_at)`` from pair results or reloaded report rows:
-    ``hits_at[c]`` counts the scored rows ranked c or better, and is empty
-    when no row was scored."""
+def summarize_rows(rows: list, cutoffs: Iterable[int]) -> tuple[Counter, dict[int, int]]:
+    """The one tally of ``PairResult`` or ``ReportRow`` rows: ``(rows per status,
+    hits_at)``, ``hits_at[c]`` the scored rows ranked c or better (``{}`` if none)."""
     ranks = [r.rank for r in rows if r.status is PairStatus.SCORED]
-    if not ranks:
-        return 0, {}
-    return len(ranks), {c: sum(rank <= c for rank in ranks) for c in cutoffs}
+    hits_at = {c: sum(rank <= c for rank in ranks) for c in cutoffs} if ranks else {}
+    return Counter(r.status for r in rows), hits_at

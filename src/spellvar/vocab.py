@@ -129,8 +129,12 @@ def load_lexicon(source) -> FormalLexicon:
 
 
 def write_lexicon(lexicon: FormalLexicon, sink) -> None:
-    """Write one token per line, sorted for reproducibility."""
-    write_text(sink, "".join(token + "\n" for token in sorted(lexicon.tokens)))
+    """Write one token per line, sorted; ValueError names a token that would not read back."""
+    tokens = sorted(lexicon.tokens)
+    for token in tokens:
+        if token.split() != [token] or token.startswith("\ufeff"):
+            raise ValueError(f"lexicon token {token!r} would not read back as written")
+    write_text(sink, "".join(token + "\n" for token in tokens))
 
 
 def count_frequencies(corpus: Iterable[str]) -> FrequencyTable:

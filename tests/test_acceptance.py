@@ -24,6 +24,7 @@ from spellvar.evaluate import (
     rank_formal_neighbors,
     render_report_text,
     render_report_tsv,
+    summarize_rows,
 )
 from spellvar.extract import (
     DefinitionEntry,
@@ -192,7 +193,7 @@ def _fixture_eval(vectors, pairs, lex, extra_tokens=None):
     table = normalize(make_table(vectors))
     cfg = EvalConfig()
     report = evaluate_pairs(table, pairs, lex, cfg)
-    report.lexicon_label, report.embedding_label = "lex.txt", "emb.vec"
+    report.metadata.update(lexicon="lex.txt", embeddings="emb.vec")
     return report
 
 
@@ -233,7 +234,8 @@ def test_criterion_5_positive_scaling_invariance():
 
         assert [r.status for r in after.per_pair] == [r.status for r in before.per_pair]
         assert [r.rank for r in after.per_pair] == [r.rank for r in before.per_pair]
-        assert after.accuracy_at == before.accuracy_at
+        cutoffs = EvalConfig().cutoffs
+        assert summarize_rows(after.per_pair, cutoffs) == summarize_rows(before.per_pair, cutoffs)
 
         # same property on the engineered fixture, where gaps are coarse by design
         vectors, raw_pairs = forced_rank_setup([1, 4, 11], 20)
@@ -277,10 +279,11 @@ def test_criterion_6_accuracy_monotone_and_saturating():
                 continue
             cfg = EvalConfig(k=m, cutoffs=tuple(range(1, m + 1)))
             report = evaluate_pairs(normalize(table), pairs, lex, cfg)
-            assert report.scored_count == len(pairs)
-            values = [report.accuracy_at[c] for c in cfg.cutoffs]
+            counts, hits_at = summarize_rows(report.per_pair, cfg.cutoffs)
+            assert counts[PairStatus.SCORED] == len(pairs)
+            values = [hits_at[c] for c in cfg.cutoffs]
             assert values == sorted(values)
-            assert report.accuracy_at[m] == 1.0
+            assert hits_at[m] == len(pairs)
 
 
 def test_criterion_7_synthetic_end_to_end_accuracy():
@@ -297,8 +300,9 @@ def test_criterion_7_synthetic_end_to_end_accuracy():
         lex = lexicon_of(*(f"w{i:03d}" for i in range(n)))
         pairs = [pair(f"inf{i:03d}", f"w{i:03d}", entry_id=f"e{i}") for i in range(n)]
         report = evaluate_pairs(normalize(make_table(vectors)), pairs, lex, EvalConfig())
-        assert report.scored_count == n
-        assert report.accuracy_at[1] == 1.0
+        counts, hits_at = summarize_rows(report.per_pair, (1,))
+        assert counts[PairStatus.SCORED] == n
+        assert hits_at[1] == n
 
 
 def test_criterion_8_report_format_expresses_reference_fractions(tmp_path):

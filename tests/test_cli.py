@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -69,6 +70,17 @@ class TestHelpers:
             encoding="utf-8",
         )
         assert load_config(str(cfg)) == {"min_freq": "50", "pairs": "out.tsv"}
+
+    def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "pairs = runs/#1/pairs.tsv\nk = 1  # note\nworst=3#x\n\t# indented\n"
+            "cutoffs = 1,5\t# after a tab\n#min-freq = 9\n",
+            encoding="utf-8",
+        )
+        assert load_config(str(cfg)) == {
+            "pairs": "runs/#1/pairs.tsv", "k": "1", "worst": "3#x", "cutoffs": "1,5",
+        }
 
     def test_load_config_bad_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -395,6 +407,27 @@ class TestEvaluateCommand:
         assert code == 0
         assert "pairs: 2  evaluated: 1" in out
         assert "pairs_removed_by_lexicon: 1" in report.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("validation, kept", [
+        ("rejected_name", 0), ("rejected_other", 0), ("confirmed", 1), ("unvalidated", 1),
+    ])
+    def test_pairs_marked_rejected_are_not_evaluated(
+        self, tmp_path, capsys, caplog, validation, kept
+    ):
+        emb, lex, pairs, report = write_eval_inputs(
+            tmp_path, pairs_lines=(f"ur\tyour\te1\tdouble_quote\t{validation}",)
+        )
+        with caplog.at_level(logging.INFO):
+            code, out, _ = run(
+                capsys, "evaluate", "--pairs", str(pairs), "--lexicon", str(lex),
+                "--embeddings", str(emb), "--report", str(report),
+            )
+        assert code == 0
+        assert out.startswith(f"pairs: 1  evaluated: {kept}  scored: {kept}  ")
+        text = report.read_text(encoding="utf-8")
+        assert "\npairs_removed_by_lexicon: 0\n" in text
+        assert f"\npairs: {kept}\nscored: {kept}\n" in text
+        assert caplog.messages == ([] if kept else ["validation rejected 1 of 1 pairs"])
 
     def test_lexicon_prefilter_keeps_input_order(self, tmp_path):
         emb, lex, pairs, report = write_eval_inputs(tmp_path, pairs_lines=(

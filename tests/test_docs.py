@@ -21,3 +21,6 @@ def test_readme_library_import_runs(tmp_path, monkeypatch):
     assert [token for token, _ in names["neighbors"]] == ["your", "the"]
     assert [r.status.value for r in names["report"].per_pair] == ["scored", "formal_missing"]
     assert names["report"].per_pair[0].rank == 1
+    counts, hits_at = names["counts"], names["hits_at"]
+    assert {s.value: n for s, n in counts.items()} == {"scored": 1, "formal_missing": 1}
+    assert hits_at == {1: 1, 5: 1, 10: 1, 20: 1}

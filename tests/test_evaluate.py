@@ -1,6 +1,8 @@
 import io
+import math
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table
 from spellvar import evaluate
-from spellvar.embeddings import EmbeddingTable, cosine, load_embeddings, normalize
+from spellvar.embeddings import EmbeddingTable, cosine, cosine_of_sums, load_embeddings, normalize
 from spellvar.errors import DegenerateVectorError, MissingTokenError, ParseError
 from spellvar.vocab import FormalLexicon
 from spellvar.evaluate import (
@@ -221,6 +223,12 @@ def eval_forced(target_ranks, n_candidates, cutoffs=(1, 5, 10, 20), k=20, **kwar
     return table, lex, pairs, report
 
 
+def tally(report):
+    """``(scored rows, hits_at)`` of a report at its own cutoffs."""
+    counts, hits_at = summarize_rows(report.per_pair, report.config.cutoffs)
+    return counts[PairStatus.SCORED], hits_at
+
+
 class TestEvaluatePairs:
     def test_identical_vectors_rank_one(self):
         table = make_table({"ur": [0.6, 0.8], "your": [0.6, 0.8], "other": [1.0, 0.0]})
@@ -228,7 +236,7 @@ class TestEvaluatePairs:
             table, [pair("ur", "your")], lexicon_of("your", "other"), EvalConfig()
         )
         assert report.per_pair[0].rank == 1
-        assert report.accuracy_at[1] == 1.0
+        assert tally(report) == (1, {1: 1, 5: 1, 10: 1, 20: 1})
 
     def test_statuses(self):
         table = normalize(
@@ -260,12 +268,11 @@ class TestEvaluatePairs:
             PairStatus.FORMAL_MISSING,
             PairStatus.FORMAL_MISSING,
         ]
-        assert report.scored_count == 1
-        assert report.missing_informal == 2
-        assert report.missing_formal == 3
-        assert report.scored_count + report.missing_informal + report.missing_formal == len(
-            report.per_pair
-        )
+        counts, _ = summarize_rows(report.per_pair, report.config.cutoffs)
+        assert counts == {
+            PairStatus.SCORED: 1, PairStatus.INFORMAL_MISSING: 2, PairStatus.FORMAL_MISSING: 3
+        }
+        assert sum(counts.values()) == len(report.per_pair)
         # unscored rows carry no rank and no neighbors
         for r in report.per_pair[1:]:
             assert r.rank is None
@@ -274,7 +281,7 @@ class TestEvaluatePairs:
     def test_forced_ranks_and_accuracy(self):
         table, lex, pairs, report = eval_forced([1, 1, 3, 25], 30)
         assert [r.rank for r in report.per_pair] == [1, 1, 3, 25]
-        assert report.accuracy_at == {1: 0.5, 5: 0.75, 10: 0.75, 20: 0.75}
+        assert tally(report) == (4, {1: 2, 5: 3, 10: 3, 20: 3})
         assert report.candidate_count == 30
         # agreement with the pairwise oracle on every target position
         for p, r in zip(pairs, report.per_pair):
@@ -286,7 +293,7 @@ class TestEvaluatePairs:
         r = report.per_pair[0]
         assert r.rank == 7
         assert len(r.top_neighbors) == 2
-        assert report.accuracy_at == {1: 0.0, 2: 0.0}
+        assert tally(report) == (1, {1: 0, 2: 0})
 
     def test_top_neighbors_saturate_at_pool_size(self):
         _, _, _, report = eval_forced([2], 3, cutoffs=(1,), k=20)
@@ -295,17 +302,17 @@ class TestEvaluatePairs:
     def test_accuracy_monotone_and_saturating(self):
         n = 8
         _, _, _, report = eval_forced([1, 2, 5, 8], n, cutoffs=tuple(range(1, n + 1)))
-        values = [report.accuracy_at[c] for c in range(1, n + 1)]
+        scored, hits_at = tally(report)
+        values = [hits_at[c] for c in range(1, n + 1)]
         assert values == sorted(values)
-        assert report.accuracy_at[n] == 1.0
+        assert hits_at[n] == scored == 4
 
     def test_no_scored_pairs_flagged(self):
         table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
         report = evaluate_pairs(
             table, [pair("ghost", "b")], lexicon_of("b"), EvalConfig()
         )
-        assert report.scored_count == 0
-        assert report.accuracy_at == {}
+        assert tally(report) == (0, {})
         assert "warning: no scored pairs" in render_report_text(report)
 
     def test_results_keep_input_order(self):
@@ -336,8 +343,9 @@ class TestEvaluatePairs:
         assert len(statuses) == 3
         assert any(r.status is PairStatus.SCORED and r.pair.informal in lex
                    for r in report.per_pair)
-        assert report.scored_count > 2 * evaluate.BLOCK
-        assert report.scored_count % evaluate.BLOCK
+        scored, _ = tally(report)
+        assert scored > 2 * evaluate.BLOCK
+        assert scored % evaluate.BLOCK
         alone = [evaluate_pairs(table, [p], lex, cfg).per_pair[0] for p in pairs]
         assert report.per_pair == alone
 
@@ -494,7 +502,7 @@ class TestRankingEngineEdges:
         k = 20
         report = evaluate_pairs(table, pairs, lex, EvalConfig(k=k, cutoffs=(1,)))
         assert report.candidate_count == 10_000
-        assert report.scored_count == len(pairs)
+        assert tally(report)[0] == len(pairs)
         for n in (0, 1, 70, 101, 130, len(pairs) - 1):
             p, r = pairs[n], report.per_pair[n]
             assert (p.informal in lex) == (n % 2 == 1)
@@ -521,7 +529,7 @@ class TestRankingEngineEdges:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.scored_count == evaluate.BLOCK
+        assert tally(report)[0] == evaluate.BLOCK
         assert peak < 3 * len(table) * evaluate.BLOCK * 8
 
     @pytest.mark.parametrize("k", [5, 6, 50])
@@ -556,6 +564,35 @@ class TestRankingEngineEdges:
         oracle = [t for t, _ in brute_force_rank(unit, "q", lex)]
         assert report.per_pair[0].rank == oracle.index("w2") + 1 == 2  # q is excluded
 
+    def test_rows_scored_again_in_a_batch_equal_cosine_bit_for_bit(self):
+        # Random rows, and multiples of the query whose unclamped quotient
+        # overshoots 1 (or -1): those scores are clamped to exactly 1.0 and
+        # -1.0. The first call sums half the rows' squared norms; the second
+        # reuses those and sums the rest.
+        q = np.array([0.7, 0.3, 0.1], dtype=np.float32)
+        rng = np.random.default_rng(21)
+        vectors = {f"r{i:02d}": rng.normal(size=3) for i in range(40)}
+        vectors.update({f"m{m:+d}": m * q for m in (1, 2, 7, 11, -2, -7, -11)})
+        table = make_table(vectors)
+        ranker = evaluate._Ranker(table, lexicon_of(*vectors))
+        query = q.astype(np.float64)
+        qq = math.fsum((query * query).tolist())
+        overshoot = [
+            math.fsum((row * query).tolist())
+            / (math.sqrt(math.fsum((row * row).tolist())) * math.sqrt(qq))
+            for row in ranker.pool
+        ]
+        assert max(overshoot) > 1.0 and min(overshoot) < -1.0
+        want = np.array([cosine(row, query) for row in ranker.pool])
+        assert {1.0, -1.0} <= set(want.tolist())
+        for rows in (np.arange(0, len(want), 2), np.arange(len(want))):
+            got = np.array(ranker.rescore(rows, query))
+            assert got.tobytes() == want[rows].tobytes()
+        with pytest.raises(DegenerateVectorError):
+            ranker.rescore(rows, np.zeros(3))
+        with pytest.raises(DegenerateVectorError):
+            cosine_of_sums(0.0, 0.0, 1.0)
+
     def test_target_tied_with_earlier_and_later_tokens(self):
         table = normalize(make_table(
             {
@@ -582,8 +619,11 @@ class TestRankingEngineEdges:
         rows[0, 0] = rows[1, 1] = rows[2, 1] = rows[3, 1] = 1.0
         rows[1, 0], rows[3, 0] = 1.5e-6, 0.3
         table = EmbeddingTable(1000, ("q", "half", "zero", "far"), rows)
-        again = []
-        monkeypatch.setattr(evaluate, "cosine", lambda u, v: again.append(u[0]) or cosine(u, v))
+        again, rescore = [], evaluate._Ranker.rescore
+        monkeypatch.setattr(
+            evaluate._Ranker, "rescore",
+            lambda self, rows, q: again.extend(self.pool[rows, 0]) or rescore(self, rows, q),
+        )
         top = rank_formal_neighbors(table, "q", lexicon_of("half", "zero", "far"), k=3)
         assert [t for t, _ in top] == ["far", "half", "zero"]
         assert sorted(again) == [0.0, np.float32(1.5e-6)]
@@ -593,8 +633,7 @@ class TestRankingEngineEdges:
 class TestReportRendering:
     def report(self):
         _, _, _, report = eval_forced([1, 3], 5, cutoffs=(1, 2), k=2)
-        report.lexicon_label = "lex.txt"
-        report.embedding_label = "emb.vec"
+        report.metadata.update(lexicon="lex.txt", embeddings="emb.vec")
         return report
 
     def test_text_header(self):
@@ -612,6 +651,35 @@ class TestReportRendering:
         assert "accuracy@1: 0.500000 (1/2)" in lines
         assert "accuracy@2: 0.500000 (1/2)" in lines
         assert "informal\tformal\tstatus\trank\ttop_neighbors" in lines
+
+    def test_text_bytes_with_and_without_input_names(self):
+        # Pinned from the renderer that kept the input names in fields of
+        # their own: the header keeps every line's bytes and place.
+        table, lex, pairs, _ = eval_forced([1, 3], 5)
+        pairs += [pair("ghost", "w000", "e8"), pair("inf0", "w009", "e9")]
+        report = evaluate_pairs(table, pairs, lex, EvalConfig(k=2, cutoffs=(1, 2)))
+        head = "spelling-variant evaluation report\nk: 2\ncutoffs: 1,2\nexclude_self: true\n"
+        folding = (
+            "lexicon_folding: lowercase\ncorpus_tokenization: lowercased, whitespace-split, "
+            "outer non-alphanumerics stripped\n"
+        )
+        tail = (
+            "formal_candidates: 5\npairs: 4\nscored: 2\nmissing_informal: 1\n"
+            "missing_formal: 1\naccuracy@1: 0.500000 (1/2)\naccuracy@2: 0.500000 (1/2)\n\n"
+            "informal\tformal\tstatus\trank\ttop_neighbors\n"
+            "inf0\tw000\tscored\t1\tw000:0.500000,w001:0.490000\n"
+            "inf1\tw001\tscored\t3\tw000:0.500000,w002:0.490000\n"
+            "ghost\tw000\tinformal_missing\t-\t\n"
+            "inf0\tw009\tformal_missing\t-\t\n"
+        )
+        assert render_report_text(report) == head + "lexicon: \nembeddings: \n" + folding + tail
+        report.metadata.update(lexicon="lex.txt", embeddings="emb.vec", pairs_file="pairs.tsv",
+                               embedding_format="plain", pairs_removed_by_lexicon="1")
+        named = (
+            "lexicon: lex.txt\nembeddings: emb.vec\n" + folding
+            + "pairs_file: pairs.tsv\nembedding_format: plain\npairs_removed_by_lexicon: 1\n"
+        )
+        assert render_report_text(report) == head + named + tail
 
     def test_text_rows_match_tsv(self):
         report = self.report()
@@ -697,12 +765,16 @@ class TestReportRendering:
                 assert a == pytest.approx(b, abs=5e-7)  # %.6f quantization
 
     def test_summarize_rows_matches_report(self):
-        report = self.report()
+        table, lex, pairs, _ = eval_forced([1, 3], 5)
+        pairs += [pair("ghost", "w000", "e8"), pair("inf0", "w009", "e9")]
+        report = evaluate_pairs(table, pairs, lex, EvalConfig(k=2, cutoffs=(1, 2)))
         rows = load_report_rows(render_report_tsv(report).encode())
-        scored, hits = summarize_rows(rows, report.config.cutoffs)
-        assert scored == report.scored_count
-        assert hits == report.hits_at
-        assert {c: h / scored for c, h in hits.items()} == report.accuracy_at
+        expected = (
+            {PairStatus.SCORED: 2, PairStatus.INFORMAL_MISSING: 1, PairStatus.FORMAL_MISSING: 1},
+            {1: 1, 2: 1},
+        )
+        assert summarize_rows(report.per_pair, report.config.cutoffs) == expected
+        assert summarize_rows(rows, report.config.cutoffs) == expected
 
         # 70/620 and 146/620 have no exact binary form; the report header,
         # the stdout summary and the reloaded rows must still show the hit
@@ -713,19 +785,20 @@ class TestReportRendering:
         targets = ["f00"] * 70 + [f"f{1 + i % 19:02d}" for i in range(76)] + ["f20"] * 474
         pairs = [pair("q", t, entry_id=f"e{n}") for n, t in enumerate(targets)]
         report = evaluate_pairs(table, pairs, lexicon_of(*formal), EvalConfig(cutoffs=(1, 20)))
-        assert report.hits_at == {1: 70, 20: 146}
+        assert tally(report) == (620, {1: 70, 20: 146})
 
         header = [l for l in render_report_text(report).splitlines() if l.startswith("accuracy@")]
         assert header == ["accuracy@1: 0.112903 (70/620)", "accuracy@20: 0.235484 (146/620)"]
-        summary = accuracy_summary(report.hits_at, report.scored_count)
+        scored, hits = tally(report)
+        summary = accuracy_summary(hits, scored)
         assert summary == ["accuracy@1 = 0.113 (70/620)", "accuracy@20 = 0.235 (146/620)"]
         rows = load_report_rows(render_report_tsv(report).encode())
-        scored, hits = summarize_rows(rows, (1, 20))
-        assert (scored, hits) == (620, report.hits_at)
-        assert accuracy_summary(hits, scored) == summary
+        counts, hits = summarize_rows(rows, (1, 20))
+        assert (counts, hits) == ({PairStatus.SCORED: 620}, {1: 70, 20: 146})
+        assert accuracy_summary(hits, counts[PairStatus.SCORED]) == summary
 
     def test_summarize_rows_empty(self):
-        assert summarize_rows([], (1, 5)) == (0, {})
+        assert summarize_rows([], (1, 5)) == (Counter(), {})
 
 
 class TestLoadReportRows:

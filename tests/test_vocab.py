@@ -142,6 +142,26 @@ class TestLexiconIO:
         write_lexicon(lexicon_of("zebra", "apple", "mango"), sink)
         assert sink.getvalue() == b"apple\nmango\nzebra\n"
 
+    @pytest.mark.parametrize("token", ["x\ny", " pad", "a\tb", "", "\u3000", "\ufeffa"])
+    def test_write_rejects_a_token_that_would_not_read_back(self, token):
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match="would not read back") as raised:
+            write_lexicon(build_lexicon(["ok", token]), sink)
+        assert repr(token) in str(raised.value)
+        assert sink.getvalue() == b""
+
+    @given(st.lists(st.text(max_size=4), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_built_lexicon_reads_back_or_write_raises(self, tokens):
+        lexicon = build_lexicon(tokens)
+        sink = io.BytesIO()
+        try:
+            write_lexicon(lexicon, sink)
+        except ValueError:
+            assert any(t.split() != [t] or t.startswith("\ufeff") for t in lexicon.tokens)
+            return
+        assert load_lexicon(sink.getvalue()).tokens == lexicon.tokens
+
     def test_round_trip(self):
         lex = lexicon_of("gamma", "alpha", "beta")
         sink = io.BytesIO()
