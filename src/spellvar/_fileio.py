@@ -17,7 +17,8 @@ backslash, tab, line feed and carriage return are written ``\\\\``, ``\\t``,
 ``\\n`` and ``\\r``; a backslash before any other character reads as
 itself. A list nested in one field (``join_items``) is comma-separated, and
 a backslash or comma inside an item is written ``\\\\`` or ``\\c`` before
-the field itself is escaped.
+the field itself is escaped. ``read_records`` builds each record, and names
+the line of a wrong field count or of the builder's ValueError (ParseError).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 import stat
 from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
@@ -108,8 +109,13 @@ def text_reader(source):
 
 
 def write_text(sink, text: str) -> None:
+    """ValueError, before ``sink`` is opened, if ``text`` would not decode back as
+    written: lone surrogates that spell UTF-8, or a leading byte-order mark."""
+    data = text.encode(**UTF8)
+    if not text.isascii() and data.decode("utf-8-sig", "surrogateescape") != text:
+        raise ValueError("text would not read back as written")
     with binary_writers(sink) as (stream,):
-        stream.write(text.encode(**UTF8))
+        stream.write(data)
 
 
 def format_record(fields: Sequence[str]) -> str:
@@ -124,9 +130,8 @@ def write_records(sink, records: Iterable[Sequence[str]]) -> None:
     write_text(sink, "".join(map(format_record, records)))
 
 
-def read_records(source, width: int) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, fields)`` per non-blank line, each line exactly
-    ``width`` fields (ParseError otherwise), every field unescaped."""
+def read_records(source, width: int, record: Callable) -> Iterator:
+    """``record(*fields)`` per non-blank line of ``width`` unescaped fields (see Records)."""
     with text_reader(source) as stream:
         for lineno, line in enumerate(stream, start=1):
             line = line.rstrip("\n")
@@ -140,7 +145,11 @@ def read_records(source, width: int) -> Iterator[tuple[int, list[str]]]:
                 )
             if "\\" in line:
                 fields = [_unescape(f) if "\\" in f else f for f in fields]
-            yield lineno, fields
+            try:
+                built = record(*fields)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            yield built
 
 
 def join_items(items: Sequence[str]) -> str:

@@ -51,7 +51,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; '#' opening a line or a word starts a comment."""
+    """A flat ``key = value`` file, no key twice; '#' opening a line or word starts a comment."""
     values: dict[str, str] = {}
     with text_reader(path) as stream:
         for lineno, line in enumerate(stream, start=1):
@@ -61,7 +61,10 @@ def load_config(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            values[key] = value.strip()
     return values
 
 

@@ -35,7 +35,7 @@ from ._fileio import (
     binary_writers, format_record, join_items, read_records, split_items, write_text,
 )
 from .embeddings import EmbeddingTable, cosine, cosine_of_sums
-from .errors import DegenerateVectorError, MissingTokenError, ParseError
+from .errors import DegenerateVectorError, MissingTokenError
 from .extract import VariantPair
 from .vocab import TOKENIZATION_NOTE, FormalLexicon
 
@@ -353,40 +353,39 @@ class ReportRow:
     top_neighbors: list[tuple[str, float]]
 
 
-def load_report_rows(source) -> list[ReportRow]:
-    """Parse the machine-readable report back into rows."""
-    rows: list[ReportRow] = []
-    for lineno, fields in read_records(source, 5):
-        informal, formal, status_text, rank_text, neighbor_text = fields
+def _report_row(informal, formal, status_text, rank_text, neighbor_text) -> ReportRow:
+    try:
+        status = PairStatus(status_text)
+    except ValueError:
+        raise ValueError(f"unknown status {status_text!r}") from None
+    rank = None
+    if rank_text != "-":
         try:
-            status = PairStatus(status_text)
+            rank = int(rank_text)
+            if str(rank) != rank_text:  # int() also takes "1_0", " 1", "+1"
+                raise ValueError
         except ValueError:
-            raise ParseError(f"unknown status {status_text!r}", line=lineno) from None
-        if rank_text == "-":
-            rank = None
-        else:
-            try:
-                rank = int(rank_text)
-                if str(rank) != rank_text:  # int() also takes "1_0", " 1", "+1"
-                    raise ValueError
-            except ValueError:
-                raise ParseError(f"non-integer rank {rank_text!r}", line=lineno) from None
-            if rank < 1:
-                raise ParseError(f"rank must be >= 1, got {rank}", line=lineno)
-        if (rank is None) == (status is PairStatus.SCORED):
-            raise ParseError("rank must be present exactly for scored rows", line=lineno)
-        neighbors: list[tuple[str, float]] = []
-        for item in split_items(neighbor_text):
-            token, _, sim_text = item.rpartition(":")
-            try:  # as written: a token, and a finite score in "%.6f"
-                score = float(sim_text)
-                if not token or format(score, ".6f") != sim_text or not np.isfinite(score):
-                    raise ValueError
-            except ValueError:
-                raise ParseError(f"malformed neighbor {item!r}", line=lineno) from None
-            neighbors.append((token, score))
-        rows.append(ReportRow(informal, formal, status, rank, neighbors))
-    return rows
+            raise ValueError(f"non-integer rank {rank_text!r}") from None
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+    if (rank is None) == (status is PairStatus.SCORED):
+        raise ValueError("rank must be present exactly for scored rows")
+    neighbors: list[tuple[str, float]] = []
+    for item in split_items(neighbor_text):
+        token, _, sim_text = item.rpartition(":")
+        try:  # as written: a token, and a finite score in "%.6f"
+            score = float(sim_text)
+            if not token or format(score, ".6f") != sim_text or not np.isfinite(score):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"malformed neighbor {item!r}") from None
+        neighbors.append((token, score))
+    return ReportRow(informal, formal, status, rank, neighbors)
+
+
+def load_report_rows(source) -> list[ReportRow]:
+    """Parse the machine-readable report back into rows; a bad line is its ParseError."""
+    return list(read_records(source, 5, _report_row))
 
 
 def summarize_rows(rows: list, cutoffs: Iterable[int]) -> tuple[Counter, dict[int, int]]:

@@ -144,17 +144,21 @@ def count_frequencies(corpus: Iterable[str]) -> FrequencyTable:
 
 def load_frequencies(source) -> FrequencyTable:
     """Read a ``token TAB count`` file; counts must be positive integers,
-    and no token may appear twice."""
+    and no token may appear twice (a ParseError naming the line)."""
     counts: dict[str, int] = {}
-    for lineno, (token, count_text) in read_records(source, 2):
+
+    def entry(token: str, count_text: str) -> tuple[str, int]:
         try:
             count = int(count_text)
         except ValueError:
-            raise ParseError(f"non-integer count {count_text!r}", line=lineno) from None
+            raise ValueError(f"non-integer count {count_text!r}") from None
         if count < 1:
-            raise ParseError(f"count must be >= 1, got {count}", line=lineno)
+            raise ValueError(f"count must be >= 1, got {count}")
         if token in counts:
-            raise ParseError(f"repeated token {token!r}", line=lineno)
+            raise ValueError(f"repeated token {token!r}")
+        return token, count
+
+    for token, count in read_records(source, 2, entry):
         counts[token] = count
     return FrequencyTable(counts=counts)
 

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -81,6 +82,12 @@ class TestHelpers:
         assert load_config(str(cfg)) == {
             "pairs": "runs/#1/pairs.tsv", "k": "1", "worst": "3#x", "cutoffs": "1,5",
         }
+
+    def test_a_repeated_key_names_the_file_line_and_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min-freq = 5\npairs = out.tsv\nmin_freq = 50\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{cfg}:3: repeated key 'min_freq'")):
+            load_config(str(cfg))
 
     def test_load_config_bad_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@ import codecs
 import errno
 import io
 import os
+import re
 import stat
 import threading
 
@@ -27,7 +28,11 @@ from spellvar._fileio import (
 from spellvar.errors import ParseError
 from spellvar.evaluate import load_report_rows
 from spellvar.extract import read_definitions, read_pairs, write_pairs
-from spellvar.vocab import load_frequencies, load_lexicon
+from spellvar.vocab import build_lexicon, load_frequencies, load_lexicon, write_lexicon
+
+
+def _fields(*fields):
+    return list(fields)
 
 
 class TestRecordCodec:
@@ -38,21 +43,33 @@ class TestRecordCodec:
         assert format_record(["a\\b", "t\tn\nr\r"]) == "a\\\\b\tt\\tn\\nr\\r\n"
 
     def test_read_unescapes_every_field_and_skips_blank_lines(self):
-        records = list(read_records(b"a\\\\b\tt\\tn\\nr\\r\n\nx\ty\n", 2))
-        assert records == [(1, ["a\\b", "t\tn\nr\r"]), (3, ["x", "y"])]
+        records = list(read_records(b"a\\\\b\tt\\tn\\nr\\r\n\nx\ty\n", 2, _fields))
+        assert records == [["a\\b", "t\tn\nr\r"], ["x", "y"]]
 
     def test_unknown_escape_reads_as_itself(self):
-        assert list(read_records(b"C:\\slang\\\tx\n", 2)) == [(1, ["C:\\slang\\", "x"])]
+        assert list(read_records(b"C:\\slang\\\tx\n", 2, _fields)) == [["C:\\slang\\", "x"]]
 
     def test_field_count_error(self):
         with pytest.raises(ParseError, match="line 2: expected 3 tab-separated fields, found 2"):
-            list(read_records(b"a\tb\tc\nd\te\n", 3))
+            list(read_records(b"a\tb\tc\nd\te\n", 3, _fields))
+
+    def test_a_record_value_error_is_the_parse_error_of_its_line(self):
+        def first(a, b):
+            if "\t" in a:
+                raise ValueError(f"bad field {a!r}")
+            return a
+
+        records = read_records(b"ok\tb\n\nx\\ty\tz\n", 2, first)
+        assert next(records) == "ok"
+        with pytest.raises(ParseError, match=re.escape("line 3: bad field 'x\\ty'")) as info:
+            next(records)
+        assert info.value.line == 3
 
     def test_non_utf8_bytes_survive_a_path(self, tmp_path):
         path = tmp_path / "r.tsv"
         write_records(path, [("caf\udcff", "1")])
         assert path.read_bytes() == b"caf\xff\t1\n"
-        assert list(read_records(path, 2)) == [(1, ["caf\udcff", "1"])]
+        assert list(read_records(path, 2, _fields)) == [["caf\udcff", "1"]]
 
     def test_items(self):
         items = ["a,b:0.5", "c\\d", "", "plain"]
@@ -255,8 +272,21 @@ class TestPathWriters:
         assert not sink.closed
         assert sink.getvalue() == b"a\tb\n"
 
+    @pytest.mark.parametrize("write", [
+        lambda sink: write_lexicon(build_lexicon(["caf\udcc3\udca9"]), sink),
+        lambda sink: write_pairs([pair("caf\udcc3\udca9", "cafe")], sink),
+        lambda sink: write_text(sink, "\ufeffyour\t5\n"),
+    ], ids=["lexicon", "pairs", "leading-bom"])
+    def test_text_that_would_not_read_back_is_refused_before_writing(self, tmp_path, write):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old contents\n")
+        with pytest.raises(ValueError, match="would not read back"):
+            write(path)
+        assert path.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
     def test_text_stream_is_rejected(self):
         with pytest.raises(TypeError):
-            list(read_records(io.StringIO("a\tb\n"), 2))
+            list(read_records(io.StringIO("a\tb\n"), 2, _fields))
         with pytest.raises(TypeError):
             write_records(io.StringIO(), [("a", "b")])
