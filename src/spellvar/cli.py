@@ -28,7 +28,7 @@ log = logging.getLogger(__name__)
 
 def _parse_cutoffs(text: str) -> tuple[int, ...]:
     try:
-        cutoffs = tuple(int(c) for c in text.split(",") if c)
+        cutoffs = tuple(int(c) for c in text.split(",")) if text else ()
     except ValueError:
         raise ValueError(f"cutoffs must be integers: {text!r}") from None
     return ev.check_cutoffs(cutoffs)

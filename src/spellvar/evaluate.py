@@ -14,9 +14,9 @@ the lexicon cannot enter any ranking.
 A score is ``embeddings.cosine`` of the two float32 rows. One engine,
 ``_Ranker``, serves ``evaluate_pairs`` and ``rank_formal_neighbors``: it
 builds the pool once, filters queries in fixed blocks of one float64 matrix
-product each, scores again as ``cosine`` does wherever the product's
-rounding could decide an order, a rank or a written digit, and counts each
-target's rank without sorting the pool. ``brute_force_rank`` ranks with one
+product each, scores again as ``cosine`` does the near-ties and each value
+whose ``_score_text`` could change within slack, and counts each target's
+rank without sorting the pool. ``brute_force_rank`` ranks with one
 ``cosine`` at a time and serves as the oracle in the tests.
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -95,13 +94,18 @@ class EvalReport:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
+def _score_text(score: float) -> str:
+    """A score as the report and the diagnostics print it."""
+    return f"{score:.6f}"
+
+
 class _Ranker:
     """The candidate pool of one table and lexicon, and the one ranking engine.
 
     The pool (lexicon tokens with nonzero vectors, in token order) is built
     once. ``search`` scores BLOCK queries per float64 matrix product as
-    ``(C·q) / (|C|·|q|)`` clipped to [-1, 1]. Scores within ``slack`` of one
-    another, or of a ``%.6f`` rounding edge, are scored again by ``rescore``.
+    ``(C·q) / (|C|·|q|)`` clipped to [-1, 1]. Near-ties (within ``slack``), and
+    each value whose ``_score_text`` could change within slack, go to ``rescore``.
     """
 
     def __init__(self, table: EmbeddingTable, lexicon: FormalLexicon):
@@ -119,10 +123,7 @@ class _Ranker:
         n = 3 * table.dimension + 9
         self.slack = 2 * n * 2.0**-53 / (1 - n * 2.0**-53)
         self.sq = np.full(len(self.tokens), np.nan)  # fsum of row², summed when first needed
-
-    def position(self, token: str) -> int | None:
-        p = bisect_left(self.tokens, token)
-        return p if self.tokens[p : p + 1] == [token] else None
+        self.position = {t: i for i, t in enumerate(self.tokens)}
 
     def search(
         self, queries: list[tuple[str, str | None]], k: int, exclude_self: bool
@@ -143,7 +144,7 @@ class _Ranker:
             np.clip(cos, -1.0, 1.0, out=cos)
             # Each row holds one query's product scores, replaced where scored again.
             for s, q, (informal, target) in zip(cos, padded, block):
-                p = self.position(informal) if exclude_self else None
+                p = self.position.get(informal) if exclude_self else None
                 if p is not None:
                     s[p] = -np.inf  # never in the top k: n counts finite scores
                 n = min(k, len(s) - (p is not None))
@@ -152,11 +153,12 @@ class _Ranker:
                 top = np.flatnonzero(s >= np.partition(s, len(s) - n)[len(s) - n] - self.slack)
                 top = top[np.lexsort((top, -s[top]))]
                 tied = np.diff(s[top]) >= -self.slack
-                scaled, margin = np.abs(s[top]) * 1e6, self.slack * 1e6
-                edge = (np.abs(scaled % 1.0 - 0.5) <= margin) | (scaled <= margin)
+                # Rounding to text is monotone and `cosine` lies within slack of v.
+                edge = [_score_text(v - self.slack) != _score_text(v + self.slack)
+                        for v in s[top].tolist()]
                 again = top[np.r_[tied, False] | np.r_[False, tied] | edge]
                 if target is not None:
-                    t = self.position(target)
+                    t = self.position[target]
                     gap = s - s[t]
                     band = np.flatnonzero(np.abs(gap) <= self.slack)
                     again = np.union1d(again, band) if len(band) > 1 else again
@@ -247,7 +249,7 @@ def evaluate_pairs(
         status = PairStatus.SCORED
         if i is None or table.degenerate[i]:
             status = PairStatus.INFORMAL_MISSING
-        elif ranker.position(pair.formal) is None:
+        elif pair.formal not in ranker.position:
             status = PairStatus.FORMAL_MISSING
         results.append(PairResult(pair, status))
     scored = [r for r in results if r.status is PairStatus.SCORED]
@@ -274,7 +276,7 @@ def diagnostics_rows(rows: list["ReportRow"], n_worst: int) -> str:
     scored.sort(key=lambda ir: (-ir[1].rank, ir[0]))
     lines = ["worst pairs by target rank:"]
     for _, r in scored[:n_worst]:
-        near = ", ".join(f"{t}:{s:.6f}" for t, s in r.top_neighbors[:5])
+        near = ", ".join(f"{t}:{_score_text(s)}" for t, s in r.top_neighbors[:5])
         lines.append(
             f"  rank {r.rank:>6d}  {r.informal} -> {r.formal}  nearest: {near}"
         )
@@ -296,12 +298,12 @@ def accuracy_summary(hits_at: dict[int, int], scored_count: int) -> list[str]:
 
 def _result_fields(r: PairResult) -> tuple[str, ...]:
     rank = "-" if r.rank is None else str(r.rank)
-    neighbors = join_items([f"{t}:{s:.6f}" for t, s in r.top_neighbors])
+    neighbors = join_items([f"{t}:{_score_text(s)}" for t, s in r.top_neighbors])
     return r.pair.informal, r.pair.formal, r.status.value, rank, neighbors
 
 
-def render_report_text(report: EvalReport) -> str:
-    """Human-oriented report: key:value header then a per-pair table."""
+def _report_header(report: EvalReport) -> str:
+    """The text report's key:value header and its table's column line."""
     cfg = report.config
     counts, hits_at = summarize_rows(report.per_pair, cfg.cutoffs)
     n = counts[PairStatus.SCORED]
@@ -325,7 +327,12 @@ def render_report_text(report: EvalReport) -> str:
         lines.append(f"accuracy@{c}: {h / n:.6f} ({h}/{n})")
     lines.append("")
     lines.append("informal\tformal\tstatus\trank\ttop_neighbors")
-    return "\n".join(lines) + "\n" + render_report_tsv(report)
+    return "\n".join(lines) + "\n"
+
+
+def render_report_text(report: EvalReport) -> str:
+    """Human-oriented report: key:value header then a per-pair table."""
+    return _report_header(report) + render_report_tsv(report)
 
 
 def render_report_tsv(report: EvalReport) -> str:
@@ -334,11 +341,11 @@ def render_report_tsv(report: EvalReport) -> str:
 
 
 def write_report(report: EvalReport, text_sink, tsv_sink) -> None:
-    """Render both forms before opening either sink; replace neither
-    unless both are written."""
-    text, tsv = render_report_text(report), render_report_tsv(report)
+    """Render the header and the TSV once, before opening either sink; the
+    text form is the header then the TSV. Replace neither unless both are written."""
+    header, tsv = _report_header(report), render_report_tsv(report)
     with binary_writers(text_sink, tsv_sink) as (text_stream, tsv_stream):
-        write_text(text_stream, text)
+        write_text(text_stream, header + tsv)
         write_text(tsv_stream, tsv)
 
 
@@ -370,12 +377,14 @@ def _report_row(informal, formal, status_text, rank_text, neighbor_text) -> Repo
             raise ValueError(f"rank must be >= 1, got {rank}")
     if (rank is None) == (status is PairStatus.SCORED):
         raise ValueError("rank must be present exactly for scored rows")
+    if (not neighbor_text) == (status is PairStatus.SCORED):
+        raise ValueError("neighbors must be present exactly for scored rows")
     neighbors: list[tuple[str, float]] = []
     for item in split_items(neighbor_text):
         token, _, sim_text = item.rpartition(":")
-        try:  # as written: a token, and a finite score in "%.6f"
+        try:  # as written: a token, and a finite score as `_score_text` prints it
             score = float(sim_text)
-            if not token or format(score, ".6f") != sim_text or not np.isfinite(score):
+            if not token or _score_text(score) != sim_text or not math.isfinite(score):
                 raise ValueError
         except ValueError:
             raise ValueError(f"malformed neighbor {item!r}") from None

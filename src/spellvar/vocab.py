@@ -129,8 +129,10 @@ def load_lexicon(source) -> FormalLexicon:
 
 
 def write_lexicon(lexicon: FormalLexicon, sink) -> None:
-    """Write one token per line, sorted; ValueError names a token that would not read back."""
+    """Write one token per line, sorted; ValueError, before writing, if it would not read back."""
     tokens = sorted(lexicon.tokens)
+    if not tokens:
+        raise ValueError("empty lexicon would not read back")
     for token in tokens:
         if token.split() != [token] or token.startswith("\ufeff"):
             raise ValueError(f"lexicon token {token!r} would not read back as written")

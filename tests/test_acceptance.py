@@ -313,7 +313,7 @@ def test_criterion_8_report_format_expresses_reference_fractions(tmp_path):
         assert sum(r <= 1 for r in ranks) == 70
         assert sum(r <= 20 for r in ranks) == 146
         for i, rank in enumerate(ranks):
-            lines.append(f"inf{i:04d}\tfrm{i:04d}\tscored\t{rank}\t")
+            lines.append(f"inf{i:04d}\tfrm{i:04d}\tscored\t{rank}\tfrm{i:04d}:0.500000")
         tsv = tmp_path / "hand.report.tsv"
         tsv.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 

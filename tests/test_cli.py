@@ -274,6 +274,20 @@ class TestVocabCommands:
         assert lexicon.read_text(encoding="utf-8") == "the\n"
         assert "lexicon tokens: 1" in out
 
+    def test_build_vocab_refuses_an_empty_lexicon(self, tmp_path, capsys):
+        # No token occurs --min-count times: the lexicon would not read back.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("The cat sat.\nThe dog ran!\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.txt"
+        argv = ("build-vocab", "--corpus", str(corpus), "--lexicon", str(lexicon),
+                "--min-count", "5")
+        assert run(capsys, *argv) == (1, "", "error: empty lexicon would not read back\n")
+        assert sorted(os.listdir(tmp_path)) == ["corpus.txt"]
+        lexicon.write_bytes(b"old\n")
+        assert run(capsys, *argv)[0] == 1
+        assert lexicon.read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "lex.txt"]
+
     def test_build_vocab_default_min_count(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("b a c a\n", encoding="utf-8")
@@ -582,6 +596,11 @@ class TestEvaluateCommand:
                  id="evaluate"),
     pytest.param("report", "cutoffs", "1,two", "cutoffs must be integers: '1,two'",
                  id="report"),
+    pytest.param("evaluate", "cutoffs", "1,,5", "cutoffs must be integers: '1,,5'",
+                 id="evaluate-cutoffs-empty-item"),
+    pytest.param("report", "cutoffs", "5,", "cutoffs must be integers: '5,'",
+                 id="report-cutoffs-trailing-comma"),
+    pytest.param("report", "cutoffs", "", "cutoffs must be non-empty", id="report-cutoffs-empty"),
     pytest.param("report", "worst", "two", "invalid literal for int() with base 10: 'two'",
                  id="report-worst"),
     pytest.param("extract", "min-freq", "2.5",

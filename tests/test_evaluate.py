@@ -629,6 +629,28 @@ class TestRankingEngineEdges:
         assert sorted(again) == [0.0, np.float32(1.5e-6)]
         assert [f"{v:.6f}" for _, v in top] == ["0.287348", "0.000002", "0.000000"]
 
+    def test_one_score_text_serves_ranker_writer_reader_and_diagnostics(self, monkeypatch):
+        # With whole-number text, 0.5 (q·half / |half| = 1/2 exactly) is a
+        # rounding edge and 0.5 ± slack print apart, so the ranker must score
+        # it again; at six decimals it is far from any edge. The writer, the
+        # reader and the diagnostics then all use the same text.
+        monkeypatch.setattr(evaluate, "_score_text", lambda score: f"{score:.0f}")
+        table = make_table({"q": [1, 0, 0, 0], "half": [1, 1, 1, 1], "far": [1, 0.3, 0, 0]})
+        again, rescore = [], evaluate._Ranker.rescore
+        monkeypatch.setattr(
+            evaluate._Ranker, "rescore",
+            lambda self, rows, q: again.extend(map(self.tokens.__getitem__, rows))
+            or rescore(self, rows, q),
+        )
+        lex = lexicon_of("half", "far")
+        report = evaluate_pairs(table, [pair("q", "half")], lex, EvalConfig())
+        assert again == ["half"]
+        tsv = render_report_tsv(report)
+        assert tsv == "q\thalf\tscored\t2\tfar:1,half:0\n"
+        [row] = load_report_rows(tsv.encode())
+        assert row.top_neighbors == [("far", 1.0), ("half", 0.0)]
+        assert "nearest: far:1, half:0" in diagnostics_rows([row], n_worst=1)
+
 
 class TestReportRendering:
     def report(self):
@@ -826,6 +848,18 @@ class TestLoadReportRows:
             load_report_rows(b"ur\tyour\tscored\t-\t\n")
         with pytest.raises(ParseError, match="rank"):
             load_report_rows(b"ur\tyour\tformal_missing\t3\t\n")
+
+    @pytest.mark.parametrize("line", [
+        b"ur\tyour\tinformal_missing\t-\ta:0.500000\n",
+        b"ur\tyour\tformal_missing\t-\ta:0.500000\n",
+        b"ur\tyour\tscored\t1\t\n",
+    ], ids=["informal_missing", "formal_missing", "scored"])
+    def test_neighbors_present_exactly_for_scored_rows(self, line):
+        # The writer lists neighbours only for a scored row, and a scored row
+        # always has at least one: the candidate pool is never empty.
+        with pytest.raises(ParseError) as raised:
+            load_report_rows(self.GOOD + line)
+        assert str(raised.value) == "line 2: neighbors must be present exactly for scored rows"
 
     def test_bad_rank(self):
         for rank in ("first", "1_0", " 1", "+1"):

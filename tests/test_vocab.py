@@ -150,6 +150,13 @@ class TestLexiconIO:
         assert repr(token) in str(raised.value)
         assert sink.getvalue() == b""
 
+    def test_write_rejects_an_empty_lexicon(self):
+        # load_lexicon refuses a file with no token, so none is written.
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match="empty lexicon would not read back"):
+            write_lexicon(build_lexicon(["a", "b"], min_count=2), sink)
+        assert sink.getvalue() == b""
+
     @given(st.lists(st.text(max_size=4), min_size=1, max_size=6))
     @settings(max_examples=300, deadline=None)
     def test_built_lexicon_reads_back_or_write_raises(self, tokens):
