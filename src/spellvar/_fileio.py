@@ -5,11 +5,11 @@ Opening. Every loader reads a path, raw bytes or an open binary file object;
 writers take a path or an open binary file object, and a text stream fails
 with TypeError. Only paths are opened (and closed) here. Text is UTF-8 with
 ``surrogateescape``: a byte that is not UTF-8 reads as a lone surrogate and
-is written back as the same byte. A path is written through a sibling
-temporary file that replaces it only once the whole output is written, so a
-failed write leaves the old file as it was; ``binary_writers`` extends that
-to every output of one command. ``text_reader`` is the one place that
-decodes, dropping a leading UTF-8 byte-order mark, and ``write_text`` the
+is written back as the same byte. A path is written through a new sibling
+temporary file, randomly named, that replaces it only once the whole output
+is written, so a failed write leaves the old file as it was; ``binary_writers``
+extends that to every output of one command. ``text_reader`` is the one place
+that decodes, dropping a leading UTF-8 byte-order mark, and ``write_text`` the
 one place that encodes, writing none; a caller's stream stays open.
 
 Records. A record is one line of tab-separated fields. In every field a
@@ -23,7 +23,6 @@ the line of a wrong field count or of the builder's ValueError (ParseError).
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
 import re
@@ -58,8 +57,8 @@ _escape_item, _unescape_item = _escaper({"\\": "\\", ",": "c"})
 def binary_writers(*sinks):
     """A binary stream per sink. A path is written in place only when it
     exists and is not a regular file (a device or a pipe, which cannot be
-    replaced); any other path through a temporary file, named by a hash of
-    its name and the process id so it fits however long the name is. Every
+    replaced); any other path through a new temporary file beside it, with a
+    random fixed-length name so it fits however long the name is. Every
     stream is written and closed before a temporary file replaces its path,
     keeping its permission bits, so a failed write or close replaces none."""
     renames = []
@@ -82,10 +81,12 @@ def _open(sink, stack, renames):
     old = os.stat(path) if os.path.exists(path) else None
     if old is not None and not stat.S_ISREG(old.st_mode):
         return stack.enter_context(open(path, "wb"))
-    head, name = os.path.split(path)
-    digest = hashlib.sha256(os.fsencode(name)).hexdigest()
-    temp = os.path.join(head, f"{digest}.{os.getpid()}.tmp")
-    stream = stack.enter_context(open(temp, "xb"))
+    temp = os.path.join(os.path.dirname(path), f"{os.urandom(16).hex()}.tmp")
+    try:
+        stream = stack.enter_context(open(temp, "xb"))
+    except OSError as exc:  # name the output, not its temporary file
+        exc.filename = os.fspath(sink)
+        raise
     renames.append((temp, path))
     if old is not None:
         os.chmod(temp, stat.S_IMODE(old.st_mode))

@@ -147,8 +147,7 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
     dimension = None
-    tokens: list[str] = []
-    seen: set[str] = set()
+    vocabulary: dict[str, int] = {}  # token -> row, in first-occurrence order
     matrix = bytearray()  # the float32 rows, grown in place block by block
     duplicates = 0
     with text_reader(source) as stream:
@@ -178,27 +177,25 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
             keep = []
             for i, (_, line) in enumerate(block):
                 token = line.partition(b" ")[0].decode(**UTF8)
-                if token in seen:
-                    duplicates += 1
-                    continue
-                seen.add(token)
-                tokens.append(token)
-                keep.append(i)
+                if token not in vocabulary:
+                    vocabulary[token] = len(vocabulary)
+                    keep.append(i)
+            duplicates += len(block) - len(keep)
             matrix.extend(rows if len(keep) == len(rows) else rows[keep])
 
-    if not tokens:
+    if not vocabulary:
         raise ParseError("empty embedding source")
     if duplicates:
         log.warning("dropped %d duplicate embedding records", duplicates)
-    if format == "headered" and declared_count != len(tokens) + duplicates:
+    if format == "headered" and declared_count != len(vocabulary) + duplicates:
         log.warning(
             "header declares %d records, found %d", declared_count,
-            len(tokens) + duplicates,
+            len(vocabulary) + duplicates,
         )
     return EmbeddingTable(
         dimension=dimension,
-        vocabulary=tuple(tokens),
-        matrix=np.frombuffer(matrix, dtype=np.float32).reshape(len(tokens), dimension),
+        vocabulary=tuple(vocabulary),
+        matrix=np.frombuffer(matrix, dtype=np.float32).reshape(len(vocabulary), dimension),
         duplicates=duplicates,
     )
 

@@ -191,7 +191,9 @@ def rank_formal_neighbors(
 
     Fewer than k entries come back only when the candidate pool is
     smaller. Raises MissingTokenError / DegenerateVectorError for an
-    unusable informal token and ValueError for an empty pool.
+    unusable informal token and ValueError for an empty pool. Each call
+    builds the candidate pool anew; ``evaluate_pairs`` ranks many tokens
+    against one pool.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -68,18 +68,13 @@ def tokenize(text: str) -> list[str]:
     """The tokens of ``text``, as a list: ``text.lower().split()``, each
     stripped of its outer non-``isalnum`` characters, empty ones dropped.
     Only a token with a non-ASCII non-alphanumeric at an end, once the
-    ASCII ones are stripped, takes the per-character loop."""
+    ASCII ones are stripped, is stripped again of its own non-alphanumerics."""
     tokens = []
     for raw in text.lower().split():
         if not raw.isalnum():
             raw = raw.strip(_ASCII_NON_ALNUM)
             if raw and not (raw[0].isalnum() and raw[-1].isalnum()):
-                start, end = 0, len(raw)
-                while start < end and not raw[start].isalnum():
-                    start += 1
-                while end > start and not raw[end - 1].isalnum():
-                    end -= 1
-                raw = raw[start:end]
+                raw = raw.strip("".join(c for c in raw if not c.isalnum()))
             if not raw:
                 continue
         tokens.append(raw)
@@ -111,21 +106,13 @@ def load_lexicon(source) -> FormalLexicon:
     and tallied. Raises ParseError if the file holds no tokens.
     """
     with text_reader(source) as stream:
-        tokens: set[str] = set()
-        duplicates = 0
-        for line in stream:
-            token = line.strip().lower()
-            if not token:
-                continue
-            if token in tokens:
-                duplicates += 1
-            else:
-                tokens.add(token)
-    if not tokens:
+        counts = Counter(filter(None, (line.strip().lower() for line in stream)))
+    if not counts:
         raise ParseError("empty lexicon file")
+    duplicates = counts.total() - len(counts)
     if duplicates:
         log.warning("collapsed %d duplicate lexicon tokens", duplicates)
-    return FormalLexicon(tokens=frozenset(tokens), duplicates=duplicates)
+    return FormalLexicon(tokens=frozenset(counts), duplicates=duplicates)
 
 
 def write_lexicon(lexicon: FormalLexicon, sink) -> None:

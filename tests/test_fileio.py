@@ -1,5 +1,6 @@
 import codecs
 import errno
+import hashlib
 import io
 import os
 import re
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import pair
 from spellvar import _fileio
-from spellvar.cli import load_config
+from spellvar.cli import load_config, main
 from spellvar.embeddings import load_embeddings
 from spellvar._fileio import (
     UTF8,
@@ -265,6 +266,32 @@ class TestPathWriters:
                 second.mkdir()
         assert first.read_bytes() == b"new\n"
         assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+
+    def test_an_output_under_a_missing_directory_is_named_by_its_own_path(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text("a b a\n", encoding="utf-8")
+        assert main(["count-freq", "--corpus", "c.txt", "--freq", "nodir/f.tsv"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'nodir/f.tsv'\n"
+        )
+        assert os.listdir(tmp_path) == ["c.txt"]
+        with pytest.raises(FileNotFoundError) as caught:
+            write_text(tmp_path / "nodir" / "f.tsv", "x\n")
+        assert caught.value.errno == errno.ENOENT
+        assert caught.value.filename == str(tmp_path / "nodir" / "f.tsv")
+
+    def test_a_stray_file_with_a_former_temporary_name_is_left_alone(self, tmp_path):
+        # Temporary files were once named by the target's hash and the pid, so
+        # a killed run's leftover blocked a later run that got the same pid.
+        path = tmp_path / "out.tsv"
+        stray = tmp_path / f"{hashlib.sha256(b'out.tsv').hexdigest()}.{os.getpid()}.tmp"
+        stray.write_bytes(b"left by a killed run\n")
+        write_text(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert stray.read_bytes() == b"left by a killed run\n"
+        assert sorted(os.listdir(tmp_path)) == sorted([path.name, stray.name])
 
     def test_stream_sink_stays_open(self):
         sink = io.BytesIO()

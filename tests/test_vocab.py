@@ -126,6 +126,9 @@ class TestLexiconIO:
         lex = load_lexicon(b"Sucks\nsucks\nreceive\n")
         assert lex.tokens == frozenset({"sucks", "receive"})
         assert lex.duplicates == 1
+        lex = load_lexicon(b"A\n \na\n\n\t\nb\n")
+        assert lex.tokens == frozenset({"a", "b"})
+        assert lex.duplicates == 1
 
     def test_load_skips_blank_lines(self):
         lex = load_lexicon(b"a\n\nb\n")
