@@ -13,6 +13,7 @@ from .errors import (
     SpellvarError,
 )
 from .evaluate import (
+    CandidatePool,
     EvalConfig,
     EvalReport,
     PairResult,

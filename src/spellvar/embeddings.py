@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from ._fileio import UTF8, text_reader
-from .errors import DegenerateVectorError, ParseError
+from .errors import DegenerateVectorError, MissingTokenError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +78,14 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.vocabulary)
+
+    def query_row(self, token: str) -> int:
+        """Query ``token``'s row: MissingTokenError if absent, DegenerateVectorError if zero."""
+        if (i := self.index.get(token)) is None:
+            raise MissingTokenError(token)
+        if self.degenerate[i]:
+            raise DegenerateVectorError(f"informal token {token!r} has a zero vector")
+        return i
 
 
 def _parse_row(line: bytes, dimension: int, lineno: int) -> np.ndarray:

@@ -12,12 +12,12 @@ the embedding vocabulary grows by more informal tokens: additions outside
 the lexicon cannot enter any ranking.
 
 A score is ``embeddings.cosine`` of the two float32 rows. One engine,
-``_Ranker``, serves ``evaluate_pairs`` and ``rank_formal_neighbors``: it
-builds the pool once, filters queries in fixed blocks of one float64 matrix
-product each, scores again as ``cosine`` does the near-ties and each value
-whose ``_score_text`` could change within slack, and counts each target's
-rank without sorting the pool. ``brute_force_rank`` ranks with one
-``cosine`` at a time and serves as the oracle in the tests.
+``CandidatePool``, serves ``evaluate_pairs``, ``rank_formal_neighbors`` and
+any caller who holds one: it builds the pool once, filters queries in fixed
+blocks of one float64 matrix product each, scores again as ``cosine`` does the
+near-ties and each value whose ``_score_text`` could change within slack, and
+counts each target's rank without sorting the pool. ``brute_force_rank``
+ranks with one ``cosine`` at a time and serves as the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _score_text(score: float) -> str:
     return f"{score:.6f}"
 
 
-class _Ranker:
+class CandidatePool:
     """The candidate pool of one table and lexicon, and the one ranking engine.
 
     The pool (lexicon tokens with nonzero vectors, in token order) is built
@@ -116,10 +116,10 @@ class _Ranker:
         self.norms = np.linalg.norm(self.pool, axis=1)
         # Higham (2002), §3.1: a length-d float64 dot product, summed in any
         # order, errs by at most γ_d·|c|·|q|, γ_n = n·u / (1 - n·u), u = 2**-53.
-        # With the norms' γ_d and two roundings, a product score is within
-        # γ_{3d+2} of the exact cosine; `cosine` is within γ_7. So scores more
-        # than slack = 2·γ_{3d+9} apart, or farther than it from a rounding
-        # edge, order and print as their `cosine` values do.
+        # With the norms' γ_d each and one rounding in each division (by |q|,
+        # then by |c|), a product score is within γ_{3d+2} of the exact cosine;
+        # `cosine` is within γ_7. So scores more than slack = 2·γ_{3d+9} apart,
+        # or farther than it from a rounding edge, order and print as `cosine`'s do.
         n = 3 * table.dimension + 9
         self.slack = 2 * n * 2.0**-53 / (1 - n * 2.0**-53)
         self.sq = np.full(len(self.tokens), np.nan)  # fsum of row², summed when first needed
@@ -128,19 +128,20 @@ class _Ranker:
     def search(
         self, queries: list[tuple[str, str | None]], k: int, exclude_self: bool
     ) -> Iterator[tuple[list[tuple[str, float]], int | None]]:
-        """``(top k, target rank)`` per ``(informal, target)``; the informal
-        vector is nonzero and the target a pool token other than it, or None.
-        Rank = 1 + #(higher scores) + #(equal scores at earlier tokens); the
-        top k are the k best by (-score, token)."""
+        """``(top k, target rank)`` per ``(informal, target)``; an informal token
+        ``query_row`` rejects raises its error, and the target is a pool token
+        other than it, or None. Rank = 1 + #(higher scores) + #(equal scores at
+        earlier tokens); the top k are the k best by (-score, token)."""
         padded = np.zeros((BLOCK, self.pool.shape[1]))
         for start in range(0, len(queries), BLOCK):
             block = queries[start : start + BLOCK]
             b = len(block)
-            padded[:b] = self.table.matrix[[self.table.index[q] for q, _ in block]]
+            padded[:b] = self.table.matrix[[self.table.query_row(q) for q, _ in block]]
             # BLAS rounds a dot product differently in another product shape;
             # a fixed one keeps each query's scores independent of its block.
             cos = (padded @ self.pool.T)[:b]
-            cos /= np.multiply.outer(np.linalg.norm(padded[:b], axis=1), self.norms)
+            cos /= np.linalg.norm(padded[:b], axis=1)[:, None]
+            cos /= self.norms
             np.clip(cos, -1.0, 1.0, out=cos)
             # Each row holds one query's product scores, replaced where scored again.
             for s, q, (informal, target) in zip(cos, padded, block):
@@ -179,6 +180,13 @@ class _Ranker:
         dots = map(math.fsum, (self.pool[rows] * q).tolist())
         return [cosine_of_sums(d, rr, qq) for d, rr in zip(dots, self.sq[rows].tolist())]
 
+    def neighbors(self, informal: str, k: int, exclude_self=True) -> list[tuple[str, float]]:
+        """The k pool tokens most similar to ``informal``, best first (fewer only when
+        the pool is smaller); ValueError for k < 1 or an empty pool, else ``query_row``'s."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        return next(self.search([(informal, None)], k, exclude_self))[0]
+
 
 def rank_formal_neighbors(
     table: EmbeddingTable,
@@ -187,22 +195,11 @@ def rank_formal_neighbors(
     k: int,
     exclude_self: bool = True,
 ) -> list[tuple[str, float]]:
-    """The k most similar lexicon tokens to ``informal``, best first.
-
-    Fewer than k entries come back only when the candidate pool is
-    smaller. Raises MissingTokenError / DegenerateVectorError for an
-    unusable informal token and ValueError for an empty pool. Each call
-    builds the candidate pool anew; ``evaluate_pairs`` ranks many tokens
-    against one pool.
-    """
+    """``CandidatePool.neighbors`` on a pool built for this call, once k and the token pass."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    i = table.index.get(informal)
-    if i is None:
-        raise MissingTokenError(informal)
-    if table.degenerate[i]:
-        raise DegenerateVectorError(f"informal token {informal!r} has a zero vector")
-    return next(_Ranker(table, lexicon).search([(informal, None)], k, exclude_self))[0]
+    table.query_row(informal)
+    return CandidatePool(table, lexicon).neighbors(informal, k, exclude_self)
 
 
 def brute_force_rank(
@@ -238,30 +235,29 @@ def evaluate_pairs(
 ) -> EvalReport:
     """Score every pair; ``summarize_rows`` counts the results.
 
-    Pair statuses: informal_missing when the informal token is absent
-    from the vocabulary (or has a zero vector), formal_missing when the
+    Pair statuses: informal_missing when ``table.query_row`` rejects the
+    informal token (absent, or a zero vector), formal_missing when the
     target is outside lexicon-and-vocabulary, else scored with the
     target's rank in the full restricted ordering. Only scored pairs
     enter the accuracy denominator.
     """
-    ranker = _Ranker(table, lexicon)
+    pool = CandidatePool(table, lexicon)
     results = []
     for pair in pairs:
-        i = table.index.get(pair.informal)
-        status = PairStatus.SCORED
-        if i is None or table.degenerate[i]:
+        status = PairStatus.SCORED if pair.formal in pool.position else PairStatus.FORMAL_MISSING
+        try:
+            table.query_row(pair.informal)
+        except (MissingTokenError, DegenerateVectorError):
             status = PairStatus.INFORMAL_MISSING
-        elif pair.formal not in ranker.position:
-            status = PairStatus.FORMAL_MISSING
         results.append(PairResult(pair, status))
     scored = [r for r in results if r.status is PairStatus.SCORED]
     queries = [(r.pair.informal, r.pair.formal) for r in scored]
-    for r, (top, rank) in zip(scored, ranker.search(queries, config.k, config.exclude_self)):
+    for r, (top, rank) in zip(scored, pool.search(queries, config.k, config.exclude_self)):
         r.top_neighbors, r.rank = top, rank
     return EvalReport(
         per_pair=results,
         config=config,
-        candidate_count=len(ranker.tokens),
+        candidate_count=len(pool.tokens),
         metadata={"lexicon": "", "embeddings": "", "lexicon_folding": "lowercase",
                   "corpus_tokenization": TOKENIZATION_NOTE},
     )
@@ -330,11 +326,6 @@ def _report_header(report: EvalReport) -> str:
     lines.append("")
     lines.append("informal\tformal\tstatus\trank\ttop_neighbors")
     return "\n".join(lines) + "\n"
-
-
-def render_report_text(report: EvalReport) -> str:
-    """Human-oriented report: key:value header then a per-pair table."""
-    return _report_header(report) + render_report_tsv(report)
 
 
 def render_report_tsv(report: EvalReport) -> str:

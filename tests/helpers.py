@@ -1,5 +1,6 @@
 """Shared builders and fixture writers for the test suite."""
 
+import io
 import math
 import re
 from collections import Counter
@@ -8,6 +9,7 @@ import numpy as np
 
 from spellvar._fileio import UTF8, binary_writers, write_records
 from spellvar.embeddings import EmbeddingTable
+from spellvar.evaluate import write_report
 from spellvar.extract import Delimiter, VariantPair
 from spellvar.vocab import FormalLexicon
 
@@ -29,6 +31,13 @@ def vector_of(table: EmbeddingTable, token: str) -> np.ndarray | None:
     """The stored row for ``token`` (case-sensitive), or None if absent."""
     i = table.index.get(token)
     return None if i is None else table.matrix[i]
+
+
+def report_text(report) -> str:
+    """The text report ``write_report`` writes, read from an in-memory sink."""
+    text_sink = io.BytesIO()
+    write_report(report, text_sink, io.BytesIO())
+    return text_sink.getvalue().decode(**UTF8)
 
 
 def write_embeddings(table: EmbeddingTable, sink, format: str = "plain") -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from helpers import (
-    forced_rank_setup, lexicon_of, make_table, pair, random_table, write_embeddings,
+    forced_rank_setup, lexicon_of, make_table, pair, random_table, report_text, write_embeddings,
 )
 from spellvar.cli import main
 from spellvar.embeddings import EmbeddingTable, normalize
@@ -22,7 +22,6 @@ from spellvar.evaluate import (
     brute_force_rank,
     evaluate_pairs,
     rank_formal_neighbors,
-    render_report_text,
     render_report_tsv,
     summarize_rows,
 )
@@ -209,7 +208,7 @@ def test_criterion_4_vocabulary_restriction_invariance():
         grown = _fixture_eval(
             vectors, pairs, lex, extra_tokens=[f"junk{i:03d}" for i in range(100)]
         )
-        assert render_report_text(grown).encode() == render_report_text(base).encode()
+        assert report_text(grown).encode() == report_text(base).encode()
         assert render_report_tsv(grown).encode() == render_report_tsv(base).encode()
         assert grown.candidate_count == base.candidate_count == 40
 

@@ -19,6 +19,8 @@ def test_readme_library_import_runs(tmp_path, monkeypatch):
     names = {"lexicon": lexicon_of("your", "the"), "pairs": [pair("ur", "your"), pair("u", "you")]}
     exec(block[1], names)
     assert [token for token, _ in names["neighbors"]] == ["your", "the"]
+    assert names["nearest"]["ur"] == names["neighbors"]
+    assert [token for token, _ in names["nearest"]["u"]] == ["the", "your"]
     assert [r.status.value for r in names["report"].per_pair] == ["scored", "formal_missing"]
     assert names["report"].per_pair[0].rank == 1
     counts, hits_at = names["counts"], names["hits_at"]

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table
+from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table, report_text
 from spellvar import evaluate
 from spellvar.embeddings import EmbeddingTable, cosine, cosine_of_sums, load_embeddings, normalize
 from spellvar.errors import DegenerateVectorError, MissingTokenError, ParseError
 from spellvar.vocab import FormalLexicon
 from spellvar.evaluate import (
     DEFAULT_CUTOFFS,
+    CandidatePool,
     EvalConfig,
     PairResult,
     PairStatus,
@@ -26,7 +27,6 @@ from spellvar.evaluate import (
     evaluate_pairs,
     load_report_rows,
     rank_formal_neighbors,
-    render_report_text,
     render_report_tsv,
     summarize_rows,
     write_report,
@@ -109,13 +109,13 @@ class TestRankFormalNeighbors:
 
     # an unusable informal token is rejected before the pool is built
     def test_informal_missing(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "_Ranker", fail_if_built)
+        monkeypatch.setattr(evaluate, "CandidatePool", fail_if_built)
         table = make_table(UR_TABLE)
         with pytest.raises(MissingTokenError):
             rank_formal_neighbors(table, "ghost", lexicon_of("your"), k=1)
 
     def test_informal_degenerate(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "_Ranker", fail_if_built)
+        monkeypatch.setattr(evaluate, "CandidatePool", fail_if_built)
         table = make_table({"ur": [0.0, 0.0], "your": [1.0, 0.0]})
         with pytest.raises(DegenerateVectorError):
             rank_formal_neighbors(table, "ur", lexicon_of("your"), k=1)
@@ -313,7 +313,7 @@ class TestEvaluatePairs:
             table, [pair("ghost", "b")], lexicon_of("b"), EvalConfig()
         )
         assert tally(report) == (0, {})
-        assert "warning: no scored pairs" in render_report_text(report)
+        assert "warning: no scored pairs" in report_text(report)
 
     def test_results_keep_input_order(self):
         table = normalize(make_table(UR_TABLE))
@@ -515,8 +515,8 @@ class TestRankingEngineEdges:
 
     def test_ranking_holds_one_block_array_beside_the_product(self):
         # At dim 8 each block's pool x BLOCK float64 product outweighs the
-        # ranker's own pool. Beside it a block holds only the norm product it
-        # is divided by; each query is ranked in its own row of the product.
+        # ranker's own pool. Beside it a block holds no array of its size: the
+        # norms divide it in place, and each query is ranked in its own row.
         table = normalize(random_table(np.random.default_rng(5), 20_000, 8))
         lex = lexicon_of(*table.vocabulary)
         pairs = [
@@ -530,7 +530,7 @@ class TestRankingEngineEdges:
         finally:
             tracemalloc.stop()
         assert tally(report)[0] == evaluate.BLOCK
-        assert peak < 3 * len(table) * evaluate.BLOCK * 8
+        assert peak < 2 * len(table) * evaluate.BLOCK * 8
 
     @pytest.mark.parametrize("k", [5, 6, 50])
     def test_exclude_self_with_k_at_least_pool_size(self, k):
@@ -574,7 +574,7 @@ class TestRankingEngineEdges:
         vectors = {f"r{i:02d}": rng.normal(size=3) for i in range(40)}
         vectors.update({f"m{m:+d}": m * q for m in (1, 2, 7, 11, -2, -7, -11)})
         table = make_table(vectors)
-        ranker = evaluate._Ranker(table, lexicon_of(*vectors))
+        ranker = evaluate.CandidatePool(table, lexicon_of(*vectors))
         query = q.astype(np.float64)
         qq = math.fsum((query * query).tolist())
         overshoot = [
@@ -619,9 +619,9 @@ class TestRankingEngineEdges:
         rows[0, 0] = rows[1, 1] = rows[2, 1] = rows[3, 1] = 1.0
         rows[1, 0], rows[3, 0] = 1.5e-6, 0.3
         table = EmbeddingTable(1000, ("q", "half", "zero", "far"), rows)
-        again, rescore = [], evaluate._Ranker.rescore
+        again, rescore = [], evaluate.CandidatePool.rescore
         monkeypatch.setattr(
-            evaluate._Ranker, "rescore",
+            evaluate.CandidatePool, "rescore",
             lambda self, rows, q: again.extend(self.pool[rows, 0]) or rescore(self, rows, q),
         )
         top = rank_formal_neighbors(table, "q", lexicon_of("half", "zero", "far"), k=3)
@@ -636,9 +636,9 @@ class TestRankingEngineEdges:
         # reader and the diagnostics then all use the same text.
         monkeypatch.setattr(evaluate, "_score_text", lambda score: f"{score:.0f}")
         table = make_table({"q": [1, 0, 0, 0], "half": [1, 1, 1, 1], "far": [1, 0.3, 0, 0]})
-        again, rescore = [], evaluate._Ranker.rescore
+        again, rescore = [], evaluate.CandidatePool.rescore
         monkeypatch.setattr(
-            evaluate._Ranker, "rescore",
+            evaluate.CandidatePool, "rescore",
             lambda self, rows, q: again.extend(map(self.tokens.__getitem__, rows))
             or rescore(self, rows, q),
         )
@@ -652,6 +652,49 @@ class TestRankingEngineEdges:
         assert "nearest: far:1, half:0" in diagnostics_rows([row], n_worst=1)
 
 
+class TestCandidatePool:
+    @pytest.mark.parametrize("instance", ["duplicate_rows", "permuted_rows"])
+    def test_a_held_pool_answers_as_fresh_pools_in_any_order(self, instance):
+        # One pool serves every token, forward then in reverse, with and
+        # without self-exclusion; its lazily summed row norms must not change
+        # an answer. Each equals a fresh pool's and the oracle's top k.
+        rng = np.random.default_rng(31)
+        if instance == "duplicate_rows":
+            table, lex = duplicate_rows_instance(rng)
+        else:
+            table, lex = permuted_rows_instance(rng, 150, 12)
+        k = 12
+        pool = CandidatePool(table, lex)
+        for exclude_self in (True, False):
+            oracle = {t: brute_force_rank(table, t, lex, exclude_self) for t in table.vocabulary}
+            for tokens in (table.vocabulary, table.vocabulary[::-1]):
+                for informal in tokens:
+                    held = pool.neighbors(informal, k, exclude_self)
+                    assert held == rank_formal_neighbors(table, informal, lex, k, exclude_self)
+                    assert [t for t, _ in held] == [t for t, _ in oracle[informal][:k]]
+                    for (_, a), (_, b) in zip(held, oracle[informal]):
+                        assert abs(a - b) <= 1e-12
+        assert not np.isnan(pool.sq).all()  # the held pool did score rows again
+
+    def test_neighbors_raises_as_the_wrapper_does(self):
+        table = make_table({"ur": [1.0, 0.0], "your": [0.9, 0.1], "hole": [0.0, 0.0]})
+        lex = lexicon_of("your")
+        pool = CandidatePool(table, lex)
+        cases = [
+            ("ghost", 1, MissingTokenError), ("hole", 1, DegenerateVectorError),
+            ("ur", 0, ValueError), ("ghost", 0, ValueError), ("hole", -1, ValueError),
+            ("your", 1, ValueError),  # the pool is empty once "your" is excluded
+        ]
+        for informal, k, error in cases:
+            with pytest.raises(error) as held:
+                pool.neighbors(informal, k)
+            with pytest.raises(error) as fresh:
+                rank_formal_neighbors(table, informal, lex, k)
+            assert type(held.value) is type(fresh.value)
+            assert str(held.value) == str(fresh.value)
+        assert pool.neighbors("ur", 1) == rank_formal_neighbors(table, "ur", lex, 1)
+
+
 class TestReportRendering:
     def report(self):
         _, _, _, report = eval_forced([1, 3], 5, cutoffs=(1, 2), k=2)
@@ -659,7 +702,7 @@ class TestReportRendering:
         return report
 
     def test_text_header(self):
-        text = render_report_text(self.report())
+        text = report_text(self.report())
         lines = text.splitlines()
         assert lines[0] == "spelling-variant evaluation report"
         assert "k: 2" in lines
@@ -694,18 +737,18 @@ class TestReportRendering:
             "ghost\tw000\tinformal_missing\t-\t\n"
             "inf0\tw009\tformal_missing\t-\t\n"
         )
-        assert render_report_text(report) == head + "lexicon: \nembeddings: \n" + folding + tail
+        assert report_text(report) == head + "lexicon: \nembeddings: \n" + folding + tail
         report.metadata.update(lexicon="lex.txt", embeddings="emb.vec", pairs_file="pairs.tsv",
                                embedding_format="plain", pairs_removed_by_lexicon="1")
         named = (
             "lexicon: lex.txt\nembeddings: emb.vec\n" + folding
             + "pairs_file: pairs.tsv\nembedding_format: plain\npairs_removed_by_lexicon: 1\n"
         )
-        assert render_report_text(report) == head + named + tail
+        assert report_text(report) == head + named + tail
 
     def test_text_rows_match_tsv(self):
         report = self.report()
-        text = render_report_text(report)
+        text = report_text(report)
         tsv = render_report_tsv(report)
         assert text.endswith(tsv)
         assert len(tsv.splitlines()) == 2
@@ -720,7 +763,8 @@ class TestReportRendering:
         report = self.report()
         text_sink, tsv_sink = io.BytesIO(), io.BytesIO()
         write_report(report, text_sink, tsv_sink)
-        assert text_sink.getvalue().decode() == render_report_text(report)
+        text = evaluate._report_header(report) + render_report_tsv(report)
+        assert text_sink.getvalue().decode() == text
         assert tsv_sink.getvalue().decode() == render_report_tsv(report)
 
     def test_non_utf8_neighbor_token_is_written_and_read_back(self, tmp_path):
@@ -809,7 +853,7 @@ class TestReportRendering:
         report = evaluate_pairs(table, pairs, lexicon_of(*formal), EvalConfig(cutoffs=(1, 20)))
         assert tally(report) == (620, {1: 70, 20: 146})
 
-        header = [l for l in render_report_text(report).splitlines() if l.startswith("accuracy@")]
+        header = [l for l in report_text(report).splitlines() if l.startswith("accuracy@")]
         assert header == ["accuracy@1: 0.112903 (70/620)", "accuracy@20: 0.235484 (146/620)"]
         scored, hits = tally(report)
         summary = accuracy_summary(hits, scored)
