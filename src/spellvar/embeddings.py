@@ -15,10 +15,10 @@ Loading streams the source: it is read line by line through
 time, each block by one ``np.loadtxt`` call, or line by line where that call
 cannot vouch for the block; the line parser alone holds the rules and
 messages for one line. So beside the matrix the loader holds one block of
-text, however large the file. Values are parsed exactly as ``float()``
-parses them, and must be finite in float32: a wrong value count, a
-non-numeric value, a NaN or infinity, or a value past float32's range is a
-ParseError naming its line.
+records, each line split once into its token and its values text, however
+large the file. Values are parsed exactly as ``float()`` parses them, and
+must be finite in float32: a wrong value count, a non-numeric value, a NaN
+or infinity, or a value past float32's range is a ParseError naming its line.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ class EmbeddingTable:
             )
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("matrix contains non-finite entries")
-        index = {}
-        for i, token in enumerate(self.vocabulary):
-            if token in index:
-                raise ValueError(f"duplicate token in vocabulary: {token!r}")
-            index[token] = i
+        index = dict(zip(self.vocabulary, range(len(self.vocabulary))))
+        if len(index) < len(self.vocabulary):  # name the first token seen twice
+            seen = set()
+            token = next(t for t in self.vocabulary if t in seen or seen.add(t))
+            raise ValueError(f"duplicate token in vocabulary: {token!r}")
         object.__setattr__(self, "index", index)
         # Exact: a nonzero float32 squares to a nonzero float64.
         object.__setattr__(self, "degenerate", ~self.matrix.any(axis=1))
@@ -88,9 +88,10 @@ class EmbeddingTable:
         return i
 
 
-def _parse_row(line: bytes, dimension: int, lineno: int) -> np.ndarray:
+def _parse_row(record: tuple[int, bytes, bytes, bytes], dimension: int) -> np.ndarray:
     """One record's values as float32, or the ParseError for its line."""
-    fields = line.split(b" ")[1:]
+    lineno, _, sep, values = record
+    fields = values.split(b" ") if sep else []
     if len(fields) != dimension:
         raise ParseError(
             f"expected {dimension} values, found {len(fields)}", line=lineno
@@ -108,19 +109,18 @@ def _parse_row(line: bytes, dimension: int, lineno: int) -> np.ndarray:
     return row
 
 
-def _parse_block(block: list[tuple[int, bytes]], dimension: int) -> np.ndarray:
-    """The float32 rows of ``(line number, line)`` records.
+def _parse_block(block: list[tuple[int, bytes, bytes, bytes]], dimension: int) -> np.ndarray:
+    """The float32 rows of ``(line number, token, separator, values)`` records.
 
-    One ``np.loadtxt`` call parses the block, with the same correctly rounded
-    routine as ``float()``. It skips an empty values text and takes the bytes
-    0x1c-0x1f for space around a number; a block with either, or that it
-    rejects, reads in the wrong shape, or finds not finite in float32, is
-    parsed by ``_parse_row`` line by line instead, which names the bad line.
+    One ``np.loadtxt`` call parses the values, by ``float()``'s correctly
+    rounded routine. It skips an empty values text and takes the bytes
+    0x1c-0x1f (sought in a joined copy that is not kept) for space around a
+    number; a block with either, or that it rejects, reads in the wrong shape,
+    or finds not finite in float32, is parsed by ``_parse_row`` line by line.
     """
-    texts = [line.partition(b" ")[2] for _, line in block]
-    joined = b"".join(texts)
+    texts = [values for _, _, _, values in block]
     rows = None
-    if b"" not in texts and not any(byte in joined for byte in b"\x1c\x1d\x1e\x1f"):
+    if b"" not in texts and not any(map(b"".join(texts).__contains__, b"\x1c\x1d\x1e\x1f")):
         try:
             with np.errstate(over="ignore"):
                 rows = np.loadtxt(
@@ -130,7 +130,7 @@ def _parse_block(block: list[tuple[int, bytes]], dimension: int) -> np.ndarray:
         except ValueError:  # a malformed value: the line-by-line parse names it
             pass
     if rows is None or rows.shape != (len(block), dimension) or not np.isfinite(rows).all():
-        return np.vstack([_parse_row(line, dimension, lineno) for lineno, line in block])
+        return np.vstack([_parse_row(record, dimension) for record in block])
     return rows
 
 
@@ -143,14 +143,14 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     occurrence and are tallied on the returned table.
 
     The source is read line by line through ``text_reader``, each line split
-    as ``bytes.splitlines()`` splits (at LF, CR or CRLF) and turned back into
-    its bytes. ``_parse_block`` parses ``BLOCK_LINES`` non-blank lines at a
-    time with one numpy call, and ``_parse_row`` any block it cannot vouch
-    for. Each value is parsed as ``float()`` parses it and stored as float32;
-    a value that is not finite, or that does not fit in float32, is a
-    ParseError naming its line, and the first bad line in the file is the one
-    named. A header count that differs from the records found is logged as a
-    warning. Only the matrix grows with the file.
+    as ``bytes.splitlines()`` splits (at LF, CR or CRLF), turned back into its
+    bytes and split once at its first space. ``_parse_block`` parses
+    ``BLOCK_LINES`` non-blank lines at a time with one numpy call, and
+    ``_parse_row`` any block it cannot vouch for. Each value is parsed as
+    ``float()`` parses it and stored as float32; a value that is not finite or
+    not in float32's range is a ParseError naming its line, the first bad one
+    in the file. A header count that differs from the records found is logged
+    as a warning. Beside the matrix and the tokens it holds one block of lines.
     """
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
@@ -174,17 +174,17 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
             if dimension < 1:
                 raise ParseError("header dimension must be positive", line=1)
 
-        records = ((lineno, line) for lineno, line in lines if line)
+        records = ((lineno, *line.partition(b" ")) for lineno, line in lines if line)
         for block in iter(lambda: list(islice(records, BLOCK_LINES)), []):
             if dimension is None:
-                lineno, line = block[0]
-                dimension = line.count(b" ")
+                lineno, _, sep, values = block[0]
+                dimension = len(sep) + values.count(b" ")
                 if dimension < 1:
                     raise ParseError("first record has no values", line=lineno)
             rows = _parse_block(block, dimension)
             keep = []
-            for i, (_, line) in enumerate(block):
-                token = line.partition(b" ")[0].decode(**UTF8)
+            for i, record in enumerate(block):
+                token = record[1].decode(**UTF8)
                 if token not in vocabulary:
                     vocabulary[token] = len(vocabulary)
                     keep.append(i)

@@ -259,6 +259,27 @@ class TestBlockParser:
         assert table.matrix.shape == (rows, dimension)
         assert peak < len(raw)
 
+    def test_peak_memory_is_the_table_plus_two_block_texts(self, monkeypatch):
+        # Beside what the table keeps (its matrix and its tokens) the loader
+        # holds one block's values texts and, while it scans them for
+        # 0x1c-0x1f, their joined copy: 2.02 block texts here. Keeping that
+        # copy through np.loadtxt would take 2.17, and each line kept whole
+        # as well, 3.15.
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 64)
+        rows, dimension = 1000, 100
+        value = b"-0." + b"1234567890" * 10
+        line = b" ".join([value] * dimension)
+        raw = b"".join(b"w%d %s\n" % (i, line) for i in range(rows))
+        block_text = len(raw) // rows * embeddings.BLOCK_LINES
+        tracemalloc.start()
+        try:
+            table = load_embeddings(raw)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.matrix.shape == (rows, dimension)
+        assert peak < kept + 2.1 * block_text
+
 
 class TestLoadAtDefaults:
     """The loader as the CLI runs it: its own block size and log levels."""
@@ -454,12 +475,14 @@ class TestCosine:
 
 class TestTableInvariants:
     def test_duplicate_vocabulary_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            EmbeddingTable(
-                dimension=2,
-                vocabulary=("a", "a"),
-                matrix=np.zeros((2, 2), dtype=np.float32),
-            )
+        # The token named is the first one seen a second time.
+        for vocabulary, named in [(("a", "a"), "'a'"), (("a", "b", "b", "a"), "'b'")]:
+            with pytest.raises(ValueError, match=f"^duplicate token in vocabulary: {named}$"):
+                EmbeddingTable(
+                    dimension=2,
+                    vocabulary=vocabulary,
+                    matrix=np.zeros((len(vocabulary), 2), dtype=np.float32),
+                )
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
