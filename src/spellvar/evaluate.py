@@ -33,7 +33,7 @@ import numpy as np
 from ._fileio import (
     binary_writers, format_record, join_items, read_records, split_items, write_text,
 )
-from .embeddings import EmbeddingTable, cosine, cosine_of_sums
+from .embeddings import BLOCK_LINES, EmbeddingTable, cosine, cosine_of_sums
 from .errors import DegenerateVectorError, MissingTokenError
 from .extract import VariantPair
 from .vocab import TOKENIZATION_NOTE, FormalLexicon
@@ -102,10 +102,10 @@ def _score_text(score: float) -> str:
 class CandidatePool:
     """The candidate pool of one table and lexicon, and the one ranking engine.
 
-    The pool (lexicon tokens with nonzero vectors, in token order) is built
-    once. ``search`` scores BLOCK queries per float64 matrix product as
-    ``(C·q) / (|C|·|q|)`` clipped to [-1, 1]. Near-ties (within ``slack``), and
-    each value whose ``_score_text`` could change within slack, go to ``rescore``.
+    Built once, it holds the pool (lexicon tokens with nonzero vectors, in token order)
+    as its one float64 pool × dimension matrix, with per-row norms. Each ``search`` adds
+    one BLOCK × pool float64 product and scores ``(C·q) / (|C|·|q|)`` clipped to [-1, 1];
+    ``rescore`` takes near-ties and values whose ``_score_text`` could change within ``slack``.
     """
 
     def __init__(self, table: EmbeddingTable, lexicon: FormalLexicon):
@@ -113,7 +113,10 @@ class CandidatePool:
         live = zip(table.vocabulary, table.degenerate.tolist())
         self.tokens: list[str] = sorted(t for t, zero in live if not zero and t in lexicon)
         self.pool = table.matrix[[table.index[t] for t in self.tokens]].astype(np.float64)
-        self.norms = np.linalg.norm(self.pool, axis=1)
+        self.norms = np.empty(len(self.tokens))  # by slices: no pool-sized square
+        for start in range(0, len(self.tokens), BLOCK_LINES):
+            rows = self.pool[start : start + BLOCK_LINES]
+            self.norms[start : start + len(rows)] = np.linalg.norm(rows, axis=1)
         # Higham (2002), §3.1: a length-d float64 dot product, summed in any
         # order, errs by at most γ_d·|c|·|q|, γ_n = n·u / (1 - n·u), u = 2**-53.
         # With the norms' γ_d each and one rounding in each division (by |q|,
@@ -132,14 +135,14 @@ class CandidatePool:
         ``query_row`` rejects raises its error, and the target is a pool token
         other than it, or None. Rank = 1 + #(higher scores) + #(equal scores at
         earlier tokens); the top k are the k best by (-score, token)."""
-        padded = np.zeros((BLOCK, self.pool.shape[1]))
+        padded, product = np.zeros((BLOCK, self.pool.shape[1])), np.empty((BLOCK, len(self.pool)))
         for start in range(0, len(queries), BLOCK):
             block = queries[start : start + BLOCK]
             b = len(block)
             padded[:b] = self.table.matrix[[self.table.query_row(q) for q, _ in block]]
             # BLAS rounds a dot product differently in another product shape;
             # a fixed one keeps each query's scores independent of its block.
-            cos = (padded @ self.pool.T)[:b]
+            cos = np.matmul(padded, self.pool.T, out=product)[:b]
             cos /= np.linalg.norm(padded[:b], axis=1)[:, None]
             cos /= self.norms
             np.clip(cos, -1.0, 1.0, out=cos)
@@ -210,11 +213,7 @@ def brute_force_rank(
 ) -> list[tuple[str, float]]:
     """Oracle twin of rank_formal_neighbors: full ranking, one cosine at
     a time, no batching, no shared state."""
-    if informal not in table.index:
-        raise MissingTokenError(informal)
-    query = table.matrix[table.index[informal]]
-    if table.degenerate[table.index[informal]]:
-        raise DegenerateVectorError(f"informal token {informal!r} has a zero vector")
+    query = table.matrix[table.query_row(informal)]
     scored = []
     for i, token in enumerate(table.vocabulary):
         if token not in lexicon or table.degenerate[i]:

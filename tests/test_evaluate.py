@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from helpers import forced_rank_setup, lexicon_of, make_table, pair, random_table, report_text
 from spellvar import evaluate
-from spellvar.embeddings import EmbeddingTable, cosine, cosine_of_sums, load_embeddings, normalize
+from spellvar.embeddings import (
+    BLOCK_LINES, EmbeddingTable, cosine, cosine_of_sums, load_embeddings, normalize,
+)
 from spellvar.errors import DegenerateVectorError, MissingTokenError, ParseError
 from spellvar.vocab import FormalLexicon
 from spellvar.evaluate import (
@@ -126,10 +128,14 @@ class TestRankFormalNeighbors:
             rank_formal_neighbors(table, "ur", lexicon_of("ur"), k=1)
 
     def test_empty_pool_without_self_exclusion(self):
+        # "ghost" shares no token with the table; "hole" has a zero vector.
         table = make_table({"ur": [1.0, 0.0], "hole": [0.0, 0.0]})
         for lex in (lexicon_of("ghost"), lexicon_of("hole")):
             with pytest.raises(ValueError, match="empty candidate set"):
                 rank_formal_neighbors(table, "ur", lex, k=1, exclude_self=False)
+            pool = CandidatePool(table, lex)
+            assert (len(pool.tokens), pool.pool.shape, pool.norms.shape) == (0, (0, 2), (0,))
+            assert evaluate_pairs(table, [], lex, EvalConfig()).candidate_count == 0
 
     def test_exclude_self_semantics(self):
         table = make_table({"ur": [1.0, 0.0], "your": [0.9, 0.1]})
@@ -513,15 +519,17 @@ class TestRankingEngineEdges:
             for (_, a), (_, b) in zip(r.top_neighbors, oracle):
                 assert abs(a - b) <= 1e-12
 
-    def test_ranking_holds_one_block_array_beside_the_product(self):
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_ranking_holds_one_block_array_beside_the_product(self, blocks):
         # At dim 8 each block's pool x BLOCK float64 product outweighs the
         # ranker's own pool. Beside it a block holds no array of its size: the
         # norms divide it in place, and each query is ranked in its own row.
+        # Over three blocks, each product is written into the last one's array.
         table = normalize(random_table(np.random.default_rng(5), 20_000, 8))
         lex = lexicon_of(*table.vocabulary)
         pairs = [
             pair(table.vocabulary[i], table.vocabulary[i + 1], entry_id=f"e{i}")
-            for i in range(evaluate.BLOCK)
+            for i in range(blocks * evaluate.BLOCK)
         ]
         tracemalloc.start()
         try:
@@ -529,7 +537,7 @@ class TestRankingEngineEdges:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tally(report)[0] == evaluate.BLOCK
+        assert tally(report)[0] == blocks * evaluate.BLOCK
         assert peak < 2 * len(table) * evaluate.BLOCK * 8
 
     @pytest.mark.parametrize("k", [5, 6, 50])
@@ -675,6 +683,21 @@ class TestCandidatePool:
                     for (_, a), (_, b) in zip(held, oracle[informal]):
                         assert abs(a - b) <= 1e-12
         assert not np.isnan(pool.sq).all()  # the held pool did score rows again
+
+    def test_build_holds_one_pool_sized_array(self):
+        # Beside the float64 pool the build holds the float32 rows it is cast
+        # from, and squares BLOCK_LINES rows at a time for the norms: 1.53x
+        # the pool here, and 2.06x with a square of the whole pool.
+        table = random_table(np.random.default_rng(8), 3 * BLOCK_LINES + 500, 64)
+        lex = lexicon_of(*table.vocabulary)
+        tracemalloc.start()
+        try:
+            pool = CandidatePool(table, lex)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pool.tokens) == len(table)
+        assert peak < 1.75 * pool.pool.nbytes
 
     def test_neighbors_raises_as_the_wrapper_does(self):
         table = make_table({"ur": [1.0, 0.0], "your": [0.9, 0.1], "hole": [0.0, 0.0]})
