@@ -5,10 +5,10 @@ Loads the common one-record-per-line text interchange format (GloVe-style
 line), keeps vectors in a contiguous float32 matrix, and serves lookups
 and cosine similarities for the ranking code.
 
-Tokens are treated as opaque byte sequences split on single spaces;
-a non-UTF-8 byte reads as a lone surrogate (surrogateescape), so it
-encodes back to the same byte.
-A table is immutable once built and safe to share across threads.
+Tokens are opaque bytes, fields are split on single spaces, and one space may
+follow a record's last value (word2vec's and fastText's writers leave it). A
+non-UTF-8 byte reads as a lone surrogate (surrogateescape), so it encodes back
+to the same byte. A table is immutable once built and safe to share across threads.
 
 Loading streams the source: it is read line by line through
 ``_fileio.text_reader``, and its records are parsed ``BLOCK_LINES`` at a
@@ -144,13 +144,13 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
 
     The source is read line by line through ``text_reader``, each line split
     as ``bytes.splitlines()`` splits (at LF, CR or CRLF), turned back into its
-    bytes and split once at its first space. ``_parse_block`` parses
-    ``BLOCK_LINES`` non-blank lines at a time with one numpy call, and
-    ``_parse_row`` any block it cannot vouch for. Each value is parsed as
-    ``float()`` parses it and stored as float32; a value that is not finite or
-    not in float32's range is a ParseError naming its line, the first bad one
-    in the file. A header count that differs from the records found is logged
-    as a warning. Beside the matrix and the tokens it holds one block of lines.
+    bytes and split once at its first space; one space after the last value is
+    dropped. ``_parse_block`` parses ``BLOCK_LINES`` non-blank lines at a time
+    with one numpy call, and ``_parse_row`` any block it cannot vouch for. Each
+    value is parsed as ``float()`` parses it and stored as float32; a value that
+    is not finite or not in float32's range is a ParseError naming its line, the
+    first bad one in the file. A header count that differs from the records found
+    is logged as a warning. Beside the matrix and the tokens it holds one block of lines.
     """
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
@@ -174,7 +174,9 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
             if dimension < 1:
                 raise ParseError("header dimension must be positive", line=1)
 
-        records = ((lineno, *line.partition(b" ")) for lineno, line in lines if line)
+        # A record may end in one space after its last value, as word2vec's "%lf " leaves it.
+        records = ((lineno, *(line[:-1] if line[-1:] == b" " != line[-2:-1] and b" " in line[:-1]
+                              else line).partition(b" ")) for lineno, line in lines if line)
         for block in iter(lambda: list(islice(records, BLOCK_LINES)), []):
             if dimension is None:
                 lineno, _, sep, values = block[0]
@@ -236,12 +238,7 @@ def cosine(u: Iterable[float], v: Iterable[float]) -> float:
     b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    dot = math.fsum((a * b).tolist())
-    return cosine_of_sums(dot, math.fsum((a * a).tolist()), math.fsum((b * b).tolist()))
-
-
-def cosine_of_sums(ab: float, aa: float, bb: float) -> float:
-    """``cosine`` from the ``math.fsum`` sums of u·v, u·u and v·v."""
+    aa, bb = math.fsum((a * a).tolist()), math.fsum((b * b).tolist())
     if aa == 0.0 or bb == 0.0:
         raise DegenerateVectorError("cosine of a zero vector is undefined")
-    return max(-1.0, min(1.0, ab / (math.sqrt(aa) * math.sqrt(bb))))
+    return max(-1.0, min(1.0, math.fsum((a * b).tolist()) / (math.sqrt(aa) * math.sqrt(bb))))

@@ -12,12 +12,12 @@ the embedding vocabulary grows by more informal tokens: additions outside
 the lexicon cannot enter any ranking.
 
 A score is ``embeddings.cosine`` of the two float32 rows. One engine,
-``CandidatePool``, serves ``evaluate_pairs``, ``rank_formal_neighbors`` and
-any caller who holds one: it builds the pool once, filters queries in fixed
-blocks of one float64 matrix product each, scores again as ``cosine`` does the
-near-ties and each value whose ``_score_text`` could change within slack, and
-counts each target's rank without sorting the pool. ``brute_force_rank``
-ranks with one ``cosine`` at a time and serves as the oracle in the tests.
+``CandidatePool``, serves ``evaluate_pairs``, ``rank_formal_neighbors`` and any
+caller who holds one. It filters queries in fixed blocks of one float64 product
+each, scores near-ties and values whose ``_score_text`` could change within slack
+again with ``cosine``, and counts ranks without sorting the pool. A pool never
+changes once built, so a held pool answers a token the same whatever it was asked
+before. ``brute_force_rank`` ranks one ``cosine`` at a time: the tests' oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from ._fileio import (
     binary_writers, format_record, join_items, read_records, split_items, write_text,
 )
-from .embeddings import BLOCK_LINES, EmbeddingTable, cosine, cosine_of_sums
+from .embeddings import BLOCK_LINES, EmbeddingTable, cosine
 from .errors import DegenerateVectorError, MissingTokenError
 from .extract import VariantPair
 from .vocab import TOKENIZATION_NOTE, FormalLexicon
@@ -102,10 +102,10 @@ def _score_text(score: float) -> str:
 class CandidatePool:
     """The candidate pool of one table and lexicon, and the one ranking engine.
 
-    Built once, it holds the pool (lexicon tokens with nonzero vectors, in token order)
-    as its one float64 pool × dimension matrix, with per-row norms. Each ``search`` adds
-    one BLOCK × pool float64 product and scores ``(C·q) / (|C|·|q|)`` clipped to [-1, 1];
-    ``rescore`` takes near-ties and values whose ``_score_text`` could change within ``slack``.
+    Built once, it holds the pool (lexicon tokens with nonzero vectors, in token order) as one
+    float64 matrix with per-row norms, and never changes: a held pool answers a token the same
+    whatever it was asked before. Each ``search`` adds one BLOCK × pool float64 product, scores
+    ``(C·q) / (|C|·|q|)`` clipped to [-1, 1] and ``rescore``s near-ties and ``_score_text`` edges.
     """
 
     def __init__(self, table: EmbeddingTable, lexicon: FormalLexicon):
@@ -125,7 +125,6 @@ class CandidatePool:
         # or farther than it from a rounding edge, order and print as `cosine`'s do.
         n = 3 * table.dimension + 9
         self.slack = 2 * n * 2.0**-53 / (1 - n * 2.0**-53)
-        self.sq = np.full(len(self.tokens), np.nan)  # fsum of row², summed when first needed
         self.position = {t: i for i, t in enumerate(self.tokens)}
 
     def search(
@@ -176,12 +175,8 @@ class CandidatePool:
                 yield [(self.tokens[i], float(s[i])) for i in top], rank
 
     def rescore(self, rows: np.ndarray, q: np.ndarray) -> list[float]:
-        """``cosine(self.pool[i], q)`` for each i in ``rows``, bit for bit, batched."""
-        new = rows[np.isnan(self.sq[rows])]
-        self.sq[new] = list(map(math.fsum, (self.pool[new] * self.pool[new]).tolist()))
-        qq = math.fsum((q * q).tolist())
-        dots = map(math.fsum, (self.pool[rows] * q).tolist())
-        return [cosine_of_sums(d, rr, qq) for d, rr in zip(dots, self.sq[rows].tolist())]
+        """``cosine(self.pool[i], q)`` for each row i that ``search`` scores again."""
+        return [cosine(self.pool[i], q) for i in rows.tolist()]
 
     def neighbors(self, informal: str, k: int, exclude_self=True) -> list[tuple[str, float]]:
         """The k pool tokens most similar to ``informal``, best first (fewer only when

@@ -1,5 +1,6 @@
 import io
 import logging
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -22,7 +23,8 @@ F32_MAX = float(np.finfo(np.float32).max)
 def reference_load(raw: bytes, format: str = "plain"):
     """The loader's rules applied one line at a time with ``float()``, the
     reference the block parser must match: ``(vocabulary, matrix,
-    duplicates)``, or the ParseError of the first bad line."""
+    duplicates)``, or the ParseError of the first bad line. One space after
+    a record's last value, as word2vec's text writer leaves, is dropped."""
     lines = raw.splitlines()
     dimension = None
     start = 0
@@ -45,6 +47,8 @@ def reference_load(raw: bytes, format: str = "plain"):
         if not line:
             continue
         fields = line.split(b" ")
+        if len(fields) > 2 and fields[-1] == b"" and fields[-2] != b"":
+            fields.pop()
         token = fields[0].decode("utf-8", "surrogateescape")
         if dimension is None:
             dimension = len(fields) - 1
@@ -103,12 +107,13 @@ def embedding_sources(draw):
         st.floats(allow_nan=False, allow_infinity=False),
     ).map(lambda v: repr(v).encode())
     record = st.builds(
-        lambda token, values: token + b" " + b" ".join(values),
+        lambda token, values, end: token + b" " + b" ".join(values) + end,
         st.sampled_from(TOKENS),
         st.lists(
             st.one_of(value, value, value, st.sampled_from(ODD_VALUES)),
             min_size=dimension, max_size=dimension,
         ),
+        st.sampled_from([b"", b"", b"", b" ", b"  "]),
     )
     odd_line = st.sampled_from([b"", b" ", b"a", b"a ", b"a  1", b"b 1 2 3 4"])
     lines = draw(st.lists(st.one_of(record, record, record, odd_line), max_size=8))
@@ -197,6 +202,19 @@ class TestLoad:
                 load_embeddings(raw)
         assert str(caught.value) == f"line {line}: value out of float32 range"
         assert caught.value.line == line
+
+    @pytest.mark.parametrize("format, header", [("plain", b""), ("headered", b"2 2\n")])
+    def test_one_space_after_the_last_value_is_dropped(self, format, header):
+        # word2vec's text writer prints each value as "%lf ", fastText's .vec
+        # writer likewise: a record may end in one space, not in two.
+        records = [b"a 0.1 0.2", b"b -1 2.5e-3"]
+        clean = load_embeddings(header + b"\n".join(records) + b"\n", format)
+        spaced = load_embeddings(header + b" \n".join(records) + b" \n", format)
+        assert spaced.vocabulary == clean.vocabulary == ("a", "b")
+        assert spaced.matrix.tobytes() == clean.matrix.tobytes()
+        line = 1 + len(header.splitlines())
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            load_embeddings(header + b"  \n".join(records) + b"  \n", format)
 
     def test_largest_float32_loads(self):
         table = load_embeddings(b"a 3.4028235e38 -3.4028235e38\n")
@@ -430,6 +448,16 @@ class TestCosine:
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateVectorError):
             cosine([0.0, 0.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("m", [2, 7, 11, -2, -7, -11])
+    def test_quotient_past_one_is_clamped_to_exactly_one(self, m):
+        # The correctly rounded sums of q and its float32 multiple m·q give a
+        # quotient just past ±1; the score is exactly 1.0 or -1.0.
+        q = np.array([0.7, 0.3, 0.1], dtype=np.float32)
+        u, v = q.astype(np.float64), (m * q).astype(np.float64)
+        uu, vv = math.fsum((u * u).tolist()), math.fsum((v * v).tolist())
+        assert abs(math.fsum((u * v).tolist()) / (math.sqrt(uu) * math.sqrt(vv))) > 1.0
+        assert cosine(u, v) == cosine(v, u) == math.copysign(1.0, m)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
