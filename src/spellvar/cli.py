@@ -236,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command].func(resolve(args))
-    except (SpellvarError, OSError, LookupError, ValueError) as exc:
+    except (SpellvarError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

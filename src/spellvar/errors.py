@@ -22,6 +22,8 @@ class ParseError(SpellvarError):
 class MissingTokenError(SpellvarError, KeyError):
     """A token required for a computation is absent from the vocabulary."""
 
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
+
     def __init__(self, token: str):
         super().__init__(f"token not in embedding vocabulary: {token!r}")
         self.token = token

@@ -33,7 +33,7 @@ import numpy as np
 from ._fileio import (
     binary_writers, format_record, join_items, read_records, split_items, write_text,
 )
-from .embeddings import BLOCK_LINES, EmbeddingTable, cosine
+from .embeddings import EmbeddingTable, cosine
 from .errors import DegenerateVectorError, MissingTokenError
 from .extract import VariantPair
 from .vocab import TOKENIZATION_NOTE, FormalLexicon
@@ -113,10 +113,7 @@ class CandidatePool:
         live = zip(table.vocabulary, table.degenerate.tolist())
         self.tokens: list[str] = sorted(t for t, zero in live if not zero and t in lexicon)
         self.pool = table.matrix[[table.index[t] for t in self.tokens]].astype(np.float64)
-        self.norms = np.empty(len(self.tokens))  # by slices: no pool-sized square
-        for start in range(0, len(self.tokens), BLOCK_LINES):
-            rows = self.pool[start : start + BLOCK_LINES]
-            self.norms[start : start + len(rows)] = np.linalg.norm(rows, axis=1)
+        self.norms = np.sqrt(np.einsum("ij,ij->i", self.pool, self.pool))  # no pool-sized square
         # Higham (2002), §3.1: a length-d float64 dot product, summed in any
         # order, errs by at most γ_d·|c|·|q|, γ_n = n·u / (1 - n·u), u = 2**-53.
         # With the norms' γ_d each and one rounding in each division (by |q|,
@@ -264,10 +261,9 @@ def diagnostics_rows(rows: list["ReportRow"], n_worst: int) -> str:
     """
     if n_worst < 1:
         raise ValueError(f"n_worst must be >= 1, got {n_worst}")
-    scored = [(i, r) for i, r in enumerate(rows) if r.status is PairStatus.SCORED]
-    scored.sort(key=lambda ir: (-ir[1].rank, ir[0]))
+    scored = sorted((r for r in rows if r.status is PairStatus.SCORED), key=lambda r: -r.rank)
     lines = ["worst pairs by target rank:"]
-    for _, r in scored[:n_worst]:
+    for r in scored[:n_worst]:
         near = ", ".join(f"{t}:{_score_text(s)}" for t, s in r.top_neighbors[:5])
         lines.append(
             f"  rank {r.rank:>6d}  {r.informal} -> {r.formal}  nearest: {near}"

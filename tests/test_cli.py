@@ -704,6 +704,19 @@ def test_config_value_equals_flag_value(tmp_path, command, option):
         assert resolved(command, *required, "--config", str(cfg)) == resolved(command, *required)
 
 
+@pytest.mark.parametrize("error", [IndexError, KeyError])
+def test_an_internal_lookup_error_keeps_its_traceback(monkeypatch, error):
+    # Only errors about the input print as "error: ..."; a bug's
+    # IndexError or KeyError propagates out of main.
+    def broken(opts):
+        raise error("internal")
+
+    command = cli.COMMANDS["count-freq"]._replace(func=broken)
+    monkeypatch.setitem(cli.COMMANDS, "count-freq", command)
+    with pytest.raises(error):
+        main(["count-freq", "--corpus", "corpus.txt", "--freq", "freq.tsv"])
+
+
 def test_help_is_unchanged(monkeypatch):
     """Every --help text, at 80 columns, matches tests/data/cli_help.txt."""
     monkeypatch.setenv("COLUMNS", "80")

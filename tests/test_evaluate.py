@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import tracemalloc
 from collections import Counter
@@ -112,6 +113,13 @@ class TestRankFormalNeighbors:
         table = make_table(UR_TABLE)
         with pytest.raises(MissingTokenError):
             rank_formal_neighbors(table, "ghost", lexicon_of("your"), k=1)
+
+    def test_missing_token_error_prints_its_message(self):
+        # KeyError's str() is the repr of its argument: the message in quotes.
+        with pytest.raises(KeyError) as caught:
+            rank_formal_neighbors(make_table(UR_TABLE), "ghost", lexicon_of("your"), k=1)
+        assert isinstance(caught.value, MissingTokenError)
+        assert str(caught.value) == "token not in embedding vocabulary: 'ghost'"
 
     def test_informal_degenerate(self, monkeypatch):
         monkeypatch.setattr(evaluate, "CandidatePool", fail_if_built)
@@ -413,6 +421,17 @@ def assert_duplicate_rows_match_oracle(rng, instances, queries=50):
             assert fast == r.top_neighbors
 
 
+def rounding_edge_instance():
+    """q and three unit rows at dim 1000: "half" scores the float32 nearest
+    1.5e-6, half-way between two 6-decimal values; "zero" scores 0.0, where
+    -0.000000 turns into 0.000000; "far" lies far from any edge."""
+    rows = np.zeros((4, 1000), dtype=np.float32)
+    rows[0, 0] = rows[1, 1] = rows[2, 1] = rows[3, 1] = 1.0
+    rows[1, 0], rows[3, 0] = 1.5e-6, 0.3
+    table = EmbeddingTable(1000, ("q", "half", "zero", "far"), rows)
+    return table, lexicon_of("half", "zero", "far")
+
+
 def permuted_rows_instance(rng, n, dim):
     """A table of n permutations of one random float32 vector, tokens
     ``p0000``..., plus an all-ones ``ones`` row outside the lexicon."""
@@ -589,22 +608,72 @@ class TestRankingEngineEdges:
         assert [r.rank for r in report.per_pair] == [2, 3, 4]
 
     def test_written_values_near_a_rounding_edge_are_scored_again(self, monkeypatch):
-        # 1.5e-6 is half-way between two 6-decimal values, and 0.0 is where
-        # -0.000000 turns into 0.000000. At dim 1000 the slack covers the
-        # float32 nearest to 1.5e-6; "far" lies far from any edge.
-        rows = np.zeros((4, 1000), dtype=np.float32)
-        rows[0, 0] = rows[1, 1] = rows[2, 1] = rows[3, 1] = 1.0
-        rows[1, 0], rows[3, 0] = 1.5e-6, 0.3
-        table = EmbeddingTable(1000, ("q", "half", "zero", "far"), rows)
+        # At dim 1000 the slack covers the float32 nearest to 1.5e-6.
+        table, lex = rounding_edge_instance()
         again, rescore = [], evaluate.CandidatePool.rescore
         monkeypatch.setattr(
             evaluate.CandidatePool, "rescore",
             lambda self, rows, q: again.extend(self.pool[rows, 0]) or rescore(self, rows, q),
         )
-        top = rank_formal_neighbors(table, "q", lexicon_of("half", "zero", "far"), k=3)
+        top = rank_formal_neighbors(table, "q", lex, k=3)
         assert [t for t, _ in top] == ["far", "half", "zero"]
         assert sorted(again) == [0.0, np.float32(1.5e-6)]
         assert [f"{v:.6f}" for _, v in top] == ["0.287348", "0.000002", "0.000000"]
+
+    def test_report_does_not_depend_on_how_the_norms_are_summed(self, monkeypatch):
+        # The slack bound holds for a norm summed in any order. So the pool's
+        # norms taken as BLOCK_LINES-row slices of np.linalg.norm, as one einsum
+        # reduction, or from an exact fsum of each row's squares (exact products:
+        # the rows are float32) give the same report and the same neighbours,
+        # on exact ties and on rounding edges too, though the norms differ.
+        def sliced(pool):
+            norms = np.empty(len(pool))
+            for start in range(0, len(pool), BLOCK_LINES):
+                norms[start : start + BLOCK_LINES] = np.linalg.norm(
+                    pool[start : start + BLOCK_LINES], axis=1)
+            return norms
+
+        ways = [
+            sliced,
+            lambda pool: np.sqrt(np.einsum("ij,ij->i", pool, pool)),
+            lambda pool: np.sqrt([math.fsum(row * row) for row in pool]),
+        ]
+        rng = np.random.default_rng(41)
+        table = normalize(random_table(rng, BLOCK_LINES + 300, 40))
+        instances = [
+            (table, lexicon_of(*table.vocabulary[::2])),
+            permuted_rows_instance(rng, 300, 50),
+            duplicate_rows_instance(rng),
+            rounding_edge_instance(),
+        ]
+        cases = []
+        for table, lex in instances:
+            candidates = sorted(t for t in table.vocabulary if t in lex)
+            informals = table.vocabulary[-40:]  # "ones" and "q" among them
+            formals = [candidates[i % len(candidates)] for i in range(len(informals))]
+            pairs = [pair(i, f if f != i else candidates[candidates.index(f) - 1], entry_id=f"e{n}")
+                     for n, (i, f) in enumerate(zip(informals, formals))]
+            cases.append((table, lex, pairs))
+
+        init, runs = CandidatePool.__init__, []
+        for way in ways:
+            def build(self, table, lexicon, way=way):
+                init(self, table, lexicon)
+                self.norms = way(self.pool)
+
+            monkeypatch.setattr(CandidatePool, "__init__", build)
+            run = []
+            for table, lex, pairs in cases:
+                report = evaluate_pairs(table, pairs, lex, EvalConfig(cutoffs=(1,)))
+                pool = CandidatePool(table, lex)
+                near = [[(t, evaluate._score_text(s)) for t, s in pool.neighbors(p.informal, 20)]
+                        for p in pairs]
+                run.append((render_report_tsv(report), near, pool.norms.tobytes()))
+            runs.append(run)
+        printed = [[(tsv, near) for tsv, near, _ in run] for run in runs]
+        assert printed[1] == printed[0] and printed[2] == printed[0]
+        for i in (0, 1):  # the random and permuted tables' norms do differ
+            assert len({run[i][2] for run in runs}) > 1
 
     def test_one_score_text_serves_ranker_writer_reader_and_diagnostics(self, monkeypatch):
         # With whole-number text, 0.5 (q·half / |half| = 1/2 exactly) is a
@@ -667,8 +736,8 @@ class TestCandidatePool:
 
     def test_build_holds_one_pool_sized_array(self):
         # Beside the float64 pool the build holds the float32 rows it is cast
-        # from, and squares BLOCK_LINES rows at a time for the norms: 1.53x
-        # the pool here, and 2.06x with a square of the whole pool.
+        # from, and sums each row's squares without storing them for the norms:
+        # 1.53x the pool here, and 2.06x with a square of the whole pool.
         table = random_table(np.random.default_rng(8), 3 * BLOCK_LINES + 500, 64)
         lex = lexicon_of(*table.vocabulary)
         tracemalloc.start()

@@ -471,6 +471,11 @@ class TestDefinitionsIO:
                 assert _unescape(escaped) == text
             assert format_record(fields).count("\t") == width - 1
         path = tmp_path_factory.getbasetemp() / "records.tsv"
+        if "".join(map(format_record, records)).startswith("\ufeff"):
+            # the reader drops a leading byte-order mark, so the writer refuses one
+            with pytest.raises(ValueError, match="would not read back"):
+                write_records(path, records)
+            return
         write_records(path, records)
         assert list(read_records(path, width, lambda *fields: list(fields))) == records
 
