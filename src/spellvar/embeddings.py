@@ -112,21 +112,20 @@ def _parse_row(record: tuple[int, bytes, bytes, bytes], dimension: int) -> np.nd
 def _parse_block(block: list[tuple[int, bytes, bytes, bytes]], dimension: int) -> np.ndarray:
     """The float32 rows of ``(line number, token, separator, values)`` records.
 
-    One ``np.loadtxt`` call parses the values, by ``float()``'s correctly
-    rounded routine. It skips an empty values text and takes the bytes
-    0x1c-0x1f (sought in a joined copy that is not kept) for space around a
-    number; a block with either, or that it rejects, reads in the wrong shape,
-    or finds not finite in float32, is parsed by ``_parse_row`` line by line.
+    One ``np.loadtxt`` call parses the values straight to float32, each by ``float()``'s
+    correctly rounded routine and then rounded as ``_parse_row`` rounds it (past float32's
+    range, to inf). It skips an empty values text and takes the bytes 0x1c-0x1f (sought in
+    a joined copy that is not kept) for space around a number; a block with either, or that
+    it rejects, reads in the wrong shape, or finds not finite, goes to ``_parse_row``.
     """
     texts = [values for _, _, _, values in block]
     rows = None
     if b"" not in texts and not any(map(b"".join(texts).__contains__, b"\x1c\x1d\x1e\x1f")):
         try:
-            with np.errstate(over="ignore"):
-                rows = np.loadtxt(
-                    texts, dtype=np.float64, delimiter=" ", comments=None,
-                    ndmin=2, encoding="ascii",
-                ).astype(np.float32)
+            rows = np.loadtxt(
+                texts, dtype=np.float32, delimiter=" ", comments=None,
+                ndmin=2, encoding="ascii",
+            )
         except ValueError:  # a malformed value: the line-by-line parse names it
             pass
     if rows is None or rows.shape != (len(block), dimension) or not np.isfinite(rows).all():
@@ -146,10 +145,10 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     as ``bytes.splitlines()`` splits (at LF, CR or CRLF), turned back into its
     bytes and split once at its first space; one space after the last value is
     dropped. ``_parse_block`` parses ``BLOCK_LINES`` non-blank lines at a time
-    with one numpy call, and ``_parse_row`` any block it cannot vouch for. Each
-    value is parsed as ``float()`` parses it and stored as float32; a value that
-    is not finite or not in float32's range is a ParseError naming its line, the
-    first bad one in the file. A header count that differs from the records found
+    with one numpy call straight to float32, and ``_parse_row`` any block it cannot
+    vouch for. Each value is parsed as ``float()`` parses it and stored as float32; a
+    value that is not finite or not in float32's range is a ParseError naming its line,
+    the first bad one in the file. A header count that differs from the records found
     is logged as a warning. Beside the matrix and the tokens it holds one block of lines.
     """
     if format not in ("plain", "headered"):
@@ -213,14 +212,13 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
 def normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Return a copy with every nonzero row scaled to unit Euclidean norm.
 
-    Zero rows are left as-is and remain flagged degenerate. Rows are done
-    ``BLOCK_LINES`` at a time into the float32 result, so beside it the work
-    holds a few float64 blocks. Ranking accepts any table, normalized or not.
+    Zero rows are left as-is and remain flagged degenerate. Beside the float32 result the
+    work holds one float64 block, ``BLOCK_LINES`` rows squared. Ranking accepts any table.
     """
     unit = np.empty_like(table.matrix)
     for start in range(0, len(table), BLOCK_LINES):
         rows = table.matrix[start : start + BLOCK_LINES]
-        norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+        norms = np.sqrt(np.square(rows, dtype=np.float64).sum(axis=1))
         norms[norms == 0.0] = 1.0
         np.divide(rows, norms[:, None], out=unit[start : start + BLOCK_LINES], casting="same_kind")
     return replace(table, matrix=unit)

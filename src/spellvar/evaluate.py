@@ -40,7 +40,7 @@ from .vocab import TOKENIZATION_NOTE, FormalLexicon
 
 DEFAULT_CUTOFFS = (1, 5, 10, 20)
 # Queries per matrix product. A constant: it must not follow the thread count.
-BLOCK = 64
+BLOCK = 32
 
 
 @dataclass(frozen=True)

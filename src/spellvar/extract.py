@@ -209,6 +209,8 @@ def write_pairs(pairs: Iterable[VariantPair], sink) -> None:
 
 
 def _pair(informal, formal, entry_id, delimiter, validation) -> VariantPair:
+    if informal.startswith("\ufeff"):  # a report opening with its row would not read back
+        raise ValueError(f"informal token {informal!r} opens with U+FEFF")
     return VariantPair(informal, formal, entry_id, Delimiter(delimiter), Validation(validation))
 
 

@@ -557,6 +557,30 @@ class TestEvaluateCommand:
         assert code == 1
         assert "error:" in err and "line 2" in err
 
+    def test_informal_token_opening_with_u_feff_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # With the first pair removed by the lexicon, the second pair's row
+        # would open the .tsv with a U+FEFF, which would not read back as
+        # written. The pairs file is refused at that line instead, before
+        # the embeddings are read.
+        emb, lex, pairs, report = write_eval_inputs(tmp_path, (
+            "zz\tnotinlex\te1\tbracket\tunvalidated",
+            "\ufeffur\tyour\te2\tbracket\tunvalidated",
+        ))
+        emb.write_text("your 0.9 0.1\n\ufeffur 1 0\nthe 0 1\n", encoding="utf-8")
+        lex.write_text("your\nthe\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "load_embeddings", lambda *a, **kw: pytest.fail("loaded"))
+        before = sorted(os.listdir(tmp_path))
+        code, out, err = run(
+            capsys, "evaluate",
+            "--pairs", str(pairs), "--lexicon", str(lex),
+            "--embeddings", str(emb), "--report", str(report),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: informal token '\\ufeffur' opens with U+FEFF\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
     @pytest.mark.parametrize("old", [None, b"old report\n"], ids=["new", "existing"])
     def test_failed_output_replaces_no_output(self, tmp_path, capsys, old):
         # The .tsv cannot be written, so the text report is left as it was.

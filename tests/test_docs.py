@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 from helpers import lexicon_of, pair
+from spellvar import evaluate
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -26,3 +27,11 @@ def test_readme_library_import_runs(tmp_path, monkeypatch):
     counts, hits_at = names["counts"], names["hits_at"]
     assert {s.value: n for s, n in counts.items()} == {"scored": 1, "formal_missing": 1}
     assert hits_at == {1: 1, 5: 1, 10: 1, 20: 1}
+
+
+def test_readme_product_figures_follow_the_block_constant():
+    # "Library use" quotes the product shape each ranking call adds; it must
+    # move with evaluate.BLOCK.
+    text = README.read_text(encoding="utf-8")
+    sizes = re.findall(r"(\d+) × pool", text) + re.findall(r"block of (\d+) queries", text)
+    assert len(sizes) >= 2 and set(sizes) == {str(evaluate.BLOCK)}

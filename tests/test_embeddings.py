@@ -90,10 +90,13 @@ def outcome(load, raw: bytes, format: str = "plain"):
 
 
 # Value texts float() and np.loadtxt disagree on, or that are bad or at a limit.
+# The last two round to float64 on a float32 tie, which breaks toward even:
+# 1.0 and 1.0000002, where one rounding straight to float32 gives 1.0000001.
 ODD_VALUES = [
     b"", b"x", b"1_0", b"0x1", b"1e", b"nan", b"-inf", b"1e999", b"1e39", b"-1e39",
     b"3.4028235e38", b"3.4028236e38", b"1e-50", b"2.5e-45", b"+.5", b"5.", b"-0",
     b"\xff", b"\xc2\xa01", b"1\x1c", b"\x1f2", b"\x0b1", b"1\x0c", b"\t1", b"1\t2", b"1\x00",
+    b"1.00000005960464477625798673798840354720", b"1.00000017881393432530451326201159645279",
 ]
 TOKENS = [b"a", b"b", b"A", b"", b"caf\xe9", b"\xff"]
 
@@ -405,7 +408,7 @@ class TestNormalize:
 
     def test_holds_no_float64_copy_beside_its_quotient(self):
         # Rows are done a block at a time, so beside the float32 result the
-        # work holds a float64 block and its square, not a whole-matrix copy.
+        # work holds one float64 square of a block, not a whole-matrix copy.
         raw = random_table(np.random.default_rng(7), 3 * embeddings.BLOCK_LINES + 500, 50)
         work = raw.matrix.astype(np.float64)
         expected = (work / np.linalg.norm(work, axis=1)[:, None]).astype(np.float32)
@@ -417,7 +420,7 @@ class TestNormalize:
         finally:
             tracemalloc.stop()
         assert np.array_equal(table.matrix, expected)
-        assert peak < table.matrix.nbytes + 3 * embeddings.BLOCK_LINES * 50 * 8
+        assert peak < table.matrix.nbytes + 1.5 * embeddings.BLOCK_LINES * 50 * 8
 
 
 class TestVectorOf:
