@@ -10,14 +10,14 @@ follow a record's last value (word2vec's and fastText's writers leave it). A
 non-UTF-8 byte reads as a lone surrogate (surrogateescape), so it encodes back
 to the same byte. A table is immutable once built and safe to share across threads.
 
-Loading streams the source: it is read line by line through
-``_fileio.text_reader``, and its records are parsed ``BLOCK_LINES`` at a
-time, each block by one ``np.loadtxt`` call, or line by line where that call
-cannot vouch for the block; the line parser alone holds the rules and
-messages for one line. So beside the matrix the loader holds one block of
-records, each line split once into its token and its values text, however
-large the file. Values are parsed exactly as ``float()`` parses them, and
-must be finite in float32: a wrong value count, a non-numeric value, a NaN
+Loading streams the source: it is read line by line through ``_fileio.text_reader``,
+each line held as the text it decodes to, and its records are parsed ``BLOCK_LINES``
+at a time, each block by one ``np.loadtxt`` call, or line by line where that call
+cannot vouch for the block; the line parser alone holds the rules and messages for
+one line. So beside the matrix the loader holds one block of records, each line split
+once into its token and its values text, however large the file. Values are parsed
+exactly as ``float()`` parses their bytes, so a non-ASCII digit or space is refused,
+and must be finite in float32: a wrong value count, a non-numeric value, a NaN
 or infinity, or a value past float32's range is a ParseError naming its line.
 """
 
@@ -88,10 +88,10 @@ class EmbeddingTable:
         return i
 
 
-def _parse_row(record: tuple[int, bytes, bytes, bytes], dimension: int) -> np.ndarray:
-    """One record's values as float32, or the ParseError for its line."""
+def _parse_row(record: tuple[int, str, str, str], dimension: int) -> np.ndarray:
+    """One record's values as float32, each parsed from its bytes, or the line's ParseError."""
     lineno, _, sep, values = record
-    fields = values.split(b" ") if sep else []
+    fields = values.encode(**UTF8).split(b" ") if sep else []
     if len(fields) != dimension:
         raise ParseError(
             f"expected {dimension} values, found {len(fields)}", line=lineno
@@ -109,23 +109,22 @@ def _parse_row(record: tuple[int, bytes, bytes, bytes], dimension: int) -> np.nd
     return row
 
 
-def _parse_block(block: list[tuple[int, bytes, bytes, bytes]], dimension: int) -> np.ndarray:
+def _parse_block(block: list[tuple[int, str, str, str]], dimension: int) -> np.ndarray:
     """The float32 rows of ``(line number, token, separator, values)`` records.
 
     One ``np.loadtxt`` call parses the values straight to float32, each by ``float()``'s
     correctly rounded routine and then rounded as ``_parse_row`` rounds it (past float32's
-    range, to inf). It skips an empty values text and takes the bytes 0x1c-0x1f (sought in
-    a joined copy that is not kept) for space around a number; a block with either, or that
-    it rejects, reads in the wrong shape, or finds not finite, goes to ``_parse_row``.
+    range, to inf). Unlike ``float()`` on bytes, it skips an empty values text and takes
+    0x1c-0x1f and non-ASCII spaces for space; a block with an empty or non-ASCII text or
+    0x1c-0x1f (sought in a joined copy not kept), or that it rejects, reads in the wrong
+    shape, or finds not finite, goes to ``_parse_row``.
     """
     texts = [values for _, _, _, values in block]
     rows = None
-    if b"" not in texts and not any(map(b"".join(texts).__contains__, b"\x1c\x1d\x1e\x1f")):
+    if ("" not in texts and all(map(str.isascii, texts))
+            and not any(map("".join(texts).__contains__, "\x1c\x1d\x1e\x1f"))):
         try:
-            rows = np.loadtxt(
-                texts, dtype=np.float32, delimiter=" ", comments=None,
-                ndmin=2, encoding="ascii",
-            )
+            rows = np.loadtxt(texts, dtype=np.float32, delimiter=" ", comments=None, ndmin=2)
         except ValueError:  # a malformed value: the line-by-line parse names it
             pass
     if rows is None or rows.shape != (len(block), dimension) or not np.isfinite(rows).all():
@@ -141,12 +140,13 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     (first line is ``count dim``). Duplicate tokens keep the first
     occurrence and are tallied on the returned table.
 
-    The source is read line by line through ``text_reader``, each line split
-    as ``bytes.splitlines()`` splits (at LF, CR or CRLF), turned back into its
-    bytes and split once at its first space; one space after the last value is
-    dropped. ``_parse_block`` parses ``BLOCK_LINES`` non-blank lines at a time
+    The source is read line by line through ``text_reader``, each line split as
+    ``bytes.splitlines()`` splits (at LF, CR or CRLF), kept as the text it decodes to,
+    and split once at its first space; one space after the last value is dropped. The
+    token is kept as decoded; the header and ``_parse_row``'s values are parsed from their
+    bytes. ``_parse_block`` parses ``BLOCK_LINES`` non-blank lines at a time
     with one numpy call straight to float32, and ``_parse_row`` any block it cannot
-    vouch for. Each value is parsed as ``float()`` parses it and stored as float32; a
+    vouch for. Each value is parsed as ``float()`` parses its bytes and stored as float32; a
     value that is not finite or not in float32's range is a ParseError naming its line,
     the first bad one in the file. A header count that differs from the records found
     is logged as a warning. Beside the matrix and the tokens it holds one block of lines.
@@ -158,12 +158,12 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     matrix = bytearray()  # the float32 rows, grown in place block by block
     duplicates = 0
     with text_reader(source) as stream:
-        lines = enumerate((line.rstrip("\n").encode(**UTF8) for line in stream), start=1)
+        lines = enumerate((line.rstrip("\n") for line in stream), start=1)
         if format == "headered":
             _, line = next(lines, (1, None))
             if line is None:
                 raise ParseError("empty embedding source")
-            header = line.split(b" ")
+            header = line.encode(**UTF8).split(b" ")
             if len(header) != 2:
                 raise ParseError("header must be 'count dimension'", line=1)
             try:
@@ -174,18 +174,17 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
                 raise ParseError("header dimension must be positive", line=1)
 
         # A record may end in one space after its last value, as word2vec's "%lf " leaves it.
-        records = ((lineno, *(line[:-1] if line[-1:] == b" " != line[-2:-1] and b" " in line[:-1]
-                              else line).partition(b" ")) for lineno, line in lines if line)
+        records = ((lineno, *(line[:-1] if line[-1:] == " " != line[-2:-1] and " " in line[:-1]
+                              else line).partition(" ")) for lineno, line in lines if line)
         for block in iter(lambda: list(islice(records, BLOCK_LINES)), []):
             if dimension is None:
                 lineno, _, sep, values = block[0]
-                dimension = len(sep) + values.count(b" ")
+                dimension = len(sep) + values.count(" ")
                 if dimension < 1:
                     raise ParseError("first record has no values", line=lineno)
             rows = _parse_block(block, dimension)
             keep = []
-            for i, record in enumerate(block):
-                token = record[1].decode(**UTF8)
+            for i, (_, token, _, _) in enumerate(block):
                 if token not in vocabulary:
                     vocabulary[token] = len(vocabulary)
                     keep.append(i)

@@ -90,12 +90,15 @@ def outcome(load, raw: bytes, format: str = "plain"):
 
 
 # Value texts float() and np.loadtxt disagree on, or that are bad or at a limit.
-# The last two round to float64 on a float32 tie, which breaks toward even:
-# 1.0 and 1.0000002, where one rounding straight to float32 gives 1.0000001.
+# float() of a str, unlike of bytes, reads a non-ASCII digit or space (U+0661,
+# U+FF11, NBSP, U+2000) and 0x1c-0x1f. The last two round to float64 on a
+# float32 tie, which breaks toward even: 1.0 and 1.0000002, where one rounding
+# straight to float32 gives 1.0000001.
 ODD_VALUES = [
     b"", b"x", b"1_0", b"0x1", b"1e", b"nan", b"-inf", b"1e999", b"1e39", b"-1e39",
     b"3.4028235e38", b"3.4028236e38", b"1e-50", b"2.5e-45", b"+.5", b"5.", b"-0",
     b"\xff", b"\xc2\xa01", b"1\x1c", b"\x1f2", b"\x0b1", b"1\x0c", b"\t1", b"1\t2", b"1\x00",
+    "\u0661".encode(), "\uff11".encode(), "1\u2000".encode(),
     b"1.00000005960464477625798673798840354720", b"1.00000017881393432530451326201159645279",
 ]
 TOKENS = [b"a", b"b", b"A", b"", b"caf\xe9", b"\xff"]
@@ -170,6 +173,9 @@ class TestLoad:
             load_embeddings(b"2\na 1\n", format="headered")
         with pytest.raises(ParseError, match="line 1"):
             load_embeddings(b"two 3\na 1 2 3\n", format="headered")
+        # int() of a str would read the Arabic-Indic digit three as 3.
+        with pytest.raises(ParseError, match="^line 1: non-integer header field$"):
+            load_embeddings("\u0663 1\na 1\nb 2\nc 3\n".encode(), format="headered")
 
     def test_duplicates_keep_first_and_tally(self):
         table = load_embeddings(b"a 1 0\na 5 5\nb 0 1\n")
@@ -334,6 +340,20 @@ class TestLoadAtDefaults:
             table = load_embeddings(clean)
         assert table.matrix.shape == (len(lines), 3)
         assert outcome(load_embeddings, clean) == outcome(reference_load, clean)
+
+    def test_clean_ascii_source_never_reaches_the_line_parser(self, monkeypatch):
+        # Every block of a clean file is vouched for by np.loadtxt alone.
+        def refuse(record, dimension):
+            raise AssertionError(f"line {record[0]} parsed line by line")
+
+        monkeypatch.setattr(embeddings, "_parse_row", refuse)
+        rows = np.random.default_rng(27).normal(size=(2 * embeddings.BLOCK_LINES + 100, 3))
+        raw = b"".join(
+            b"w%d %s\n" % (i, b" ".join(repr(float(v)).encode() for v in row))
+            for i, row in enumerate(rows)
+        )
+        table = load_embeddings(raw)
+        assert table.matrix.tolist() == rows.astype(np.float32).tolist()
 
     @pytest.mark.parametrize("declared, logged", [
         (2, []),
@@ -516,12 +536,15 @@ class TestTableInvariants:
                 )
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingTable(
-                dimension=3,
-                vocabulary=("a",),
-                matrix=np.zeros((1, 2), dtype=np.float32),
-            )
+        # So are a zero dimension with a matching (n, 0) matrix, and a NaN or an infinity.
+        for dimension, matrix, message in [
+            (3, np.zeros((1, 2), dtype=np.float32), "^matrix shape "),
+            (0, np.zeros((1, 0), dtype=np.float32), "^dimension must be positive, got 0$"),
+            (2, np.array([[1.0, np.nan]], dtype=np.float32), "^matrix contains non-finite"),
+            (2, np.array([[-np.inf, 0.0]], dtype=np.float32), "^matrix contains non-finite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                EmbeddingTable(dimension=dimension, vocabulary=("a",), matrix=matrix)
 
     def test_degenerate_flags_exactly_the_zero_rows(self):
         tiny = float(np.float32(1.4e-45))  # the smallest float32 subnormal
