@@ -159,16 +159,14 @@ class CandidatePool:
                 again = top[np.r_[tied, False] | np.r_[False, tied] | edge]
                 if target is not None:
                     t = self.position[target]
-                    gap = s - s[t]
-                    band = np.flatnonzero(np.abs(gap) <= self.slack)
+                    band = np.flatnonzero(np.abs(s - s[t]) <= self.slack)
                     again = np.union1d(again, band) if len(band) > 1 else again
                 if len(again):
                     s[again] = self.rescore(again, q)
                 top = top[np.lexsort((top, -s[top]))][:n]
-                rank = None
-                if target is not None:
-                    ties = (s[band] > s[t]) | ((s[band] == s[t]) & (band < t))
-                    rank = 1 + np.count_nonzero(gap > self.slack) + np.count_nonzero(ties)
+                # Out of the band a row keeps its side of s[t]: rescoring moves a score <= slack/2.
+                rank = None if target is None else (
+                    1 + np.count_nonzero(s > s[t]) + np.count_nonzero(s[:t] == s[t]))
                 yield [(self.tokens[i], float(s[i])) for i in top], rank
 
     def rescore(self, rows: np.ndarray, q: np.ndarray) -> list[float]:

@@ -432,6 +432,24 @@ def rounding_edge_instance():
     return table, lexicon_of("half", "zero", "far")
 
 
+def near_tie_instance():
+    """48 lexicon rows, then q = (0.6, 0.7, 0.8, 0.3) in float32, outside the
+    lexicon; each row is q with one coordinate moved 1 to 6 float32 ulps up or down.
+    Their cosines with q take 35 distinct values, neighbours 1.1e-16 to 3.9e-15
+    apart, all inside the pool's slack of 4.7e-15: near-ties that do not tie."""
+    q = np.array([0.6, 0.7, 0.8, 0.3], dtype=np.float32)
+    rows, tokens = [], []
+    for j in range(4):
+        for way, toward in (("u", np.inf), ("d", -np.inf)):
+            row = q.copy()
+            for m in range(1, 7):
+                row[j] = np.nextafter(row[j], np.float32(toward))
+                rows.append(row.copy())
+                tokens.append(f"c{j}{way}{m}")
+    table = EmbeddingTable(4, (*tokens, "q"), np.vstack(rows + [q]))
+    return table, lexicon_of(*tokens)
+
+
 def permuted_rows_instance(rng, n, dim):
     """A table of n permutations of one random float32 vector, tokens
     ``p0000``..., plus an all-ones ``ones`` row outside the lexicon."""
@@ -620,12 +638,30 @@ class TestRankingEngineEdges:
         assert sorted(again) == [0.0, np.float32(1.5e-6)]
         assert [f"{v:.6f}" for _, v in top] == ["0.287348", "0.000002", "0.000000"]
 
+    def test_near_ties_with_distinct_cosines_match_oracle(self):
+        # The target's band holds near-ties whose cosines differ, so every rank
+        # rests on scoring that band again, not on token order.
+        table, lex = near_tie_instance()
+        oracle = brute_force_rank(table, "q", lex)
+        scores = sorted({s for _, s in oracle})
+        gaps = np.diff(scores)
+        assert len(oracle) == 48 and len(scores) == 35
+        assert gaps.min() >= 1.1e-16 and gaps.max() <= CandidatePool(table, lex).slack
+        tokens = [t for t, _ in oracle]
+        pairs = [pair("q", t, entry_id=f"e{n}") for n, t in enumerate(table.vocabulary[:-1])]
+        report = evaluate_pairs(table, pairs, lex, EvalConfig(k=5, cutoffs=(1,)))
+        for p, r in zip(pairs, report.per_pair):
+            assert r.rank == tokens.index(p.formal) + 1
+            assert [t for t, _ in r.top_neighbors] == tokens[:5]
+            for (_, a), (_, b) in zip(r.top_neighbors, oracle):
+                assert abs(a - b) <= 1e-12
+
     def test_report_does_not_depend_on_how_the_norms_are_summed(self, monkeypatch):
         # The slack bound holds for a norm summed in any order. So the pool's
         # norms taken as BLOCK_LINES-row slices of np.linalg.norm, as one einsum
         # reduction, or from an exact fsum of each row's squares (exact products:
         # the rows are float32) give the same report and the same neighbours,
-        # on exact ties and on rounding edges too, though the norms differ.
+        # on exact ties, near-ties and rounding edges too, though the norms differ.
         def sliced(pool):
             norms = np.empty(len(pool))
             for start in range(0, len(pool), BLOCK_LINES):
@@ -645,6 +681,7 @@ class TestRankingEngineEdges:
             permuted_rows_instance(rng, 300, 50),
             duplicate_rows_instance(rng),
             rounding_edge_instance(),
+            near_tie_instance(),
         ]
         cases = []
         for table, lex in instances:
@@ -699,7 +736,7 @@ class TestRankingEngineEdges:
 
 
 class TestCandidatePool:
-    @pytest.mark.parametrize("instance", ["duplicate_rows", "permuted_rows"])
+    @pytest.mark.parametrize("instance", ["duplicate_rows", "permuted_rows", "near_ties"])
     def test_a_held_pool_answers_as_fresh_pools_in_any_order(self, instance, monkeypatch):
         # One pool serves every token, forward then in reverse, with and
         # without self-exclusion, and scores rows again on the way; it never
@@ -707,8 +744,10 @@ class TestCandidatePool:
         rng = np.random.default_rng(31)
         if instance == "duplicate_rows":
             table, lex = duplicate_rows_instance(rng)
-        else:
+        elif instance == "permuted_rows":
             table, lex = permuted_rows_instance(rng, 150, 12)
+        else:
+            table, lex = near_tie_instance()
         k = 12
         pool = CandidatePool(table, lex)
 
