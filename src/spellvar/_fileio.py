@@ -19,6 +19,7 @@ itself. A list nested in one field (``join_items``) is comma-separated, and
 a backslash or comma inside an item is written ``\\\\`` or ``\\c`` before
 the field itself is escaped. ``read_records`` builds each record, and names
 the line of a wrong field count or of the builder's ValueError (ParseError).
+A count or rank field reads only as ``str`` writes a positive int (``count_field``).
 """
 
 from __future__ import annotations
@@ -151,6 +152,19 @@ def read_records(source, width: int, record: Callable) -> Iterator:
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
             yield built
+
+
+def count_field(text: str, name: str) -> int:
+    """The positive integer that ``str`` writes as ``text``; ValueError otherwise."""
+    try:
+        value = int(text)
+        if str(value) != text:  # int() also takes "1_0", " 1", "+1", "01", "١"
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"non-integer {name} {text!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def join_items(items: Sequence[str]) -> str:

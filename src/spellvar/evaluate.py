@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._fileio import (
-    binary_writers, format_record, join_items, read_records, split_items, write_text,
+    binary_writers, count_field, format_record, join_items, read_records, split_items, write_text,
 )
 from .embeddings import EmbeddingTable, cosine
 from .errors import DegenerateVectorError, MissingTokenError
@@ -346,16 +346,7 @@ def _report_row(informal, formal, status_text, rank_text, neighbor_text) -> Repo
         status = PairStatus(status_text)
     except ValueError:
         raise ValueError(f"unknown status {status_text!r}") from None
-    rank = None
-    if rank_text != "-":
-        try:
-            rank = int(rank_text)
-            if str(rank) != rank_text:  # int() also takes "1_0", " 1", "+1"
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"non-integer rank {rank_text!r}") from None
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+    rank = None if rank_text == "-" else count_field(rank_text, "rank")
     if (rank is None) == (status is PairStatus.SCORED):
         raise ValueError("rank must be present exactly for scored rows")
     if (not neighbor_text) == (status is PairStatus.SCORED):

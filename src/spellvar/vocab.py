@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ._fileio import read_records, text_reader, write_records, write_text
+from ._fileio import count_field, read_records, text_reader, write_records, write_text
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
@@ -132,17 +132,12 @@ def count_frequencies(corpus: Iterable[str]) -> FrequencyTable:
 
 
 def load_frequencies(source) -> FrequencyTable:
-    """Read a ``token TAB count`` file; counts must be positive integers,
-    and no token may appear twice (a ParseError naming the line)."""
+    """Read a ``token TAB count`` file; each count is a positive int as ``str`` writes
+    it, and no token may appear twice (a ParseError naming the line)."""
     counts: dict[str, int] = {}
 
     def entry(token: str, count_text: str) -> tuple[str, int]:
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise ValueError(f"non-integer count {count_text!r}") from None
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        count = count_field(count_text, "count")
         if token in counts:
             raise ValueError(f"repeated token {token!r}")
         return token, count

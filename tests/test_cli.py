@@ -202,6 +202,14 @@ class TestExtractCommand:
         )
         assert code == 1
         assert err.startswith("error:") and "nope.tsv" in err
+        # A count that count-freq never writes (int() reads "5_0" as 50).
+        freq = tmp_path / "freq.tsv"
+        freq.write_bytes(b"lol\t5_0\n")
+        assert run(
+            capsys, "extract",
+            "--defs", str(defs), "--freq", str(freq), "--pairs", str(tmp_path / "pairs.tsv"),
+        ) == (1, "", "error: line 1: non-integer count '5_0'\n")
+        assert sorted(os.listdir(tmp_path)) == ["defs.tsv", "freq.tsv"]
 
     def test_long_output_names(self, tmp_path, capsys):
         # The three outputs' names are 240, 246 and 251 bytes long.
@@ -699,6 +707,8 @@ def test_first_bad_option_in_help_order_is_reported(capsys, argv, message):
 # A value other than the default for each option that has one.
 OPTION_VALUES = {"min-freq": "7", "min-count": "3", "format": "headered",
                  "cutoffs": "2,4", "worst": "3", "no-exclude-self": "true"}
+# Texts that int() reads as the number, as a person may type them.
+TYPED_VALUES = {"min-freq": {"05": 5, "+5": 5}}
 
 
 def resolved(*argv):
@@ -726,6 +736,12 @@ def test_config_value_equals_flag_value(tmp_path, command, option):
     if option.conv is _parse_bool:
         cfg.write_text(f"{option.name} = false\n", encoding="utf-8")
         assert resolved(command, *required, "--config", str(cfg)) == resolved(command, *required)
+    # A typed value keeps int()'s rule, unlike a count in a record file.
+    for typed, number in TYPED_VALUES.get(option.name, {}).items():
+        cfg.write_text(f"{option.name} = {typed}\n", encoding="utf-8")
+        dest = option.name.replace("-", "_")
+        assert resolved(command, *required, "--" + option.name, typed)[dest] == number
+        assert resolved(command, *required, "--config", str(cfg))[dest] == number
 
 
 @pytest.mark.parametrize("error", [IndexError, KeyError])

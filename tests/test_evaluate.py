@@ -1018,10 +1018,11 @@ class TestLoadReportRows:
         assert str(raised.value) == "line 2: neighbors must be present exactly for scored rows"
 
     def test_bad_rank(self):
-        for rank in ("first", "1_0", " 1", "+1"):
-            with pytest.raises(ParseError, match="non-integer"):
+        for rank in ("first", "1_0", " 1", "+1", "05", "\u0665"):
+            with pytest.raises(ParseError) as raised:
                 load_report_rows(f"ur\tyour\tscored\t{rank}\t\n".encode())
-        with pytest.raises(ParseError, match=">= 1"):
+            assert str(raised.value) == f"line 1: non-integer rank {rank!r}"
+        with pytest.raises(ParseError, match="^line 1: rank must be >= 1, got 0$"):
             load_report_rows(b"ur\tyour\tscored\t0\t\n")
 
     def test_malformed_neighbor(self):

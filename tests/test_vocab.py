@@ -230,13 +230,19 @@ class TestFrequencies:
             load_frequencies(b"solo\n")
 
     def test_load_rejects_non_integer(self):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match="^line 2: non-integer count 'many'$"):
             load_frequencies(b"a\t1\nb\tmany\n")
+        # A count reads only as str() writes it, though int() takes each of
+        # these; a text str() never writes is refused before its value is checked.
+        for text in ("+5", " 5", "5 ", "05", "5_0", "\u0665", "\uff11", "00", "-03"):
+            with pytest.raises(ParseError) as raised:
+                load_frequencies(f"a\t{text}\n".encode())
+            assert str(raised.value) == f"line 1: non-integer count {text!r}"
 
     def test_load_rejects_nonpositive(self):
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match="^line 1: count must be >= 1, got 0$"):
             load_frequencies(b"a\t0\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match="^line 1: count must be >= 1, got -3$"):
             load_frequencies(b"a\t-3\n")
 
     def test_load_rejects_repeated_token(self):
