@@ -12,7 +12,8 @@ extends that to every output of one command. ``text_reader`` is the one place
 that decodes, dropping a leading UTF-8 byte-order mark, and ``write_text`` the
 one place that encodes, writing none; a caller's stream stays open.
 
-Records. A record is one line of tab-separated fields. In every field a
+Records. A record is one line of tab-separated fields, ended by a line feed only
+(one carriage return before it is dropped; a lone one is field data). In every field a
 backslash, tab, line feed and carriage return are written ``\\\\``, ``\\t``,
 ``\\n`` and ``\\r``; a backslash before any other character reads as
 itself. A list nested in one field (``join_items``) is comma-separated, and
@@ -94,16 +95,29 @@ def _open(sink, stack, renames):
     return stream
 
 
+class _Head(io.FileIO):
+    """A file that reads as if it ended at byte ``end``."""
+
+    def __init__(self, path, end: int):
+        super().__init__(path)
+        self.end = end
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer)[: max(0, self.end - self.tell())])
+
+
 @contextmanager
-def text_reader(source):
-    """A text stream over a path, bytes or the caller's binary stream, which
-    it leaves open."""
+def text_reader(source, start: int = 0, end: int | None = None, newline: str | None = None):
+    """A text stream over a path (only its bytes ``[start, end)``), bytes or the caller's
+    binary stream, which it leaves open; ``newline`` is ``io.TextIOWrapper``'s."""
     with ExitStack() as stack:
         if isinstance(source, (str, Path)):
-            source = stack.enter_context(open(source, "rb"))
+            source = open(source, "rb") if end is None else io.BufferedReader(_Head(source, end))
+            stack.enter_context(source).seek(start)
         elif isinstance(source, bytes):
             source = io.BytesIO(source)
-        stream = io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape")
+        codec = "utf-8" if start else "utf-8-sig"  # a byte-order mark is dropped at byte 0 only
+        stream = io.TextIOWrapper(source, codec, "surrogateescape", newline)
         try:
             yield stream
         finally:
@@ -134,9 +148,9 @@ def write_records(sink, records: Iterable[Sequence[str]]) -> None:
 
 def read_records(source, width: int, record: Callable) -> Iterator:
     """``record(*fields)`` per non-blank line of ``width`` unescaped fields (see Records)."""
-    with text_reader(source) as stream:
+    with text_reader(source, newline="\n") as stream:
         for lineno, line in enumerate(stream, start=1):
-            line = line.rstrip("\n")
+            line = line[:-2] if line[-2:] == "\r\n" else line.removesuffix("\n")
             if not line:
                 continue
             fields = line.split("\t")

@@ -15,7 +15,8 @@ each line held as the text it decodes to, and its records are parsed ``BLOCK_LIN
 at a time, each block by one ``np.loadtxt`` call, or line by line where that call
 cannot vouch for the block; the line parser alone holds the rules and messages for
 one line. So beside the matrix the loader holds one block of records, each line split
-once into its token and its values text, however large the file. Values are parsed
+once into its token and its values text, however large the file, also where a forked child
+parses the second half of a path of ``SPLIT_BYTES`` or more, for the same result. Values are parsed
 exactly as ``float()`` parses their bytes, so a non-ASCII digit or space is refused,
 and must be finite in float32: a wrong value count, a non-numeric value, a NaN
 or infinity, or a value past float32's range is a ParseError naming its line.
@@ -25,8 +26,11 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable
 
 import numpy as np
@@ -37,6 +41,7 @@ from .errors import DegenerateVectorError, MissingTokenError, ParseError
 log = logging.getLogger(__name__)
 
 BLOCK_LINES = 4096  # records parsed, or rows normalized, per numpy call
+SPLIT_BYTES = 2 << 20  # a path this long or longer is parsed by two processes where it can be
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,17 @@ def _parse_block(block: list[tuple[int, str, str, str]], dimension: int) -> np.n
     return rows
 
 
+def _add(tokens, rows, vocabulary: dict[str, int], matrix: bytearray) -> int:
+    """Append the rows of new tokens; return how many were duplicates."""
+    keep = []
+    for i, token in enumerate(tokens):
+        if token not in vocabulary:
+            vocabulary[token] = len(vocabulary)
+            keep.append(i)
+    matrix.extend(rows if len(keep) == len(rows) else rows[keep])
+    return len(rows) - len(keep)
+
+
 def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     """Parse an embedding file into an EmbeddingTable.
 
@@ -150,46 +166,76 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     value that is not finite or not in float32's range is a ParseError naming its line,
     the first bad one in the file. A header count that differs from the records found
     is logged as a warning. Beside the matrix and the tokens it holds one block of lines.
+    A path of at least ``SPLIT_BYTES`` is parsed by two processes where ``os.fork`` exists, 2
+    or more CPUs are allowed and no other thread runs (a forked child takes the lines after the
+    first line feed from the middle byte on), with the same table, warnings, errors, memory bound.
     """
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
-    dimension = None
+    dimension, pid = None, None
     vocabulary: dict[str, int] = {}  # token -> row, in first-occurrence order
     matrix = bytearray()  # the float32 rows, grown in place block by block
     duplicates = 0
-    with text_reader(source) as stream:
-        lines = enumerate((line.rstrip("\n") for line in stream), start=1)
-        if format == "headered":
-            _, line = next(lines, (1, None))
-            if line is None:
-                raise ParseError("empty embedding source")
-            header = line.encode(**UTF8).split(b" ")
-            if len(header) != 2:
-                raise ParseError("header must be 'count dimension'", line=1)
-            try:
-                declared_count, dimension = int(header[0]), int(header[1])
-            except ValueError:
-                raise ParseError("non-integer header field", line=1) from None
-            if dimension < 1:
-                raise ParseError("header dimension must be positive", line=1)
+    numbers = count(1)  # line numbers, the second part's following the first's
+    parts = [(0, None)]  # the byte ranges parsed in this process
+    try:  # os.sched_getaffinity exists only where os.fork does
+        if (isinstance(source, (str, os.PathLike)) and threading.active_count() == 1
+                and (size := os.path.getsize(source)) >= SPLIT_BYTES
+                and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1):
+            with text_reader(source, size // 2) as stream:  # split just past the next line feed
+                split = size // 2 + len(stream.buffer.readline())
+            read, write = os.pipe()  # the child writes unbuffered, as os._exit flushes nothing
+            pipe = os.fdopen(read, "rb") if (pid := os.fork()) else os.fdopen(write, "wb", 0)
+            os.close(write if pid else read)
+            parts = [(0, split), (split, None)] if pid else [(split, None)]
+        for start, end in parts:
+            if pid and end is None:  # the child's part, unless cut short or of another dimension
+                part = pipe.read()  # a head cut short reads as -1s, which no token count matches
+                found, more, rows = np.frombuffer(part.ljust(24, b"\xff"), np.int64, 3).tolist()
+                tokens = part[24 + 4 * rows * found :].decode(**UTF8).split("\n")[:-1]
+                if len(tokens) == rows and dimension in (None, found):
+                    rows = np.frombuffer(part, np.float32, rows * found, 24).reshape(rows, found)
+                    duplicates += more + _add(tokens, rows, vocabulary, matrix)
+                    dimension = found
+                    continue
+            with text_reader(source, start, end) as stream:
+                lines = zip((line.rstrip("\n") for line in stream), numbers)  # numbered as read
+                if format == "headered" and start == 0:
+                    line, _ = next(lines, (None, 1))
+                    if line is None:
+                        raise ParseError("empty embedding source")
+                    header = line.encode(**UTF8).split(b" ")
+                    if len(header) != 2:
+                        raise ParseError("header must be 'count dimension'", line=1)
+                    try:
+                        declared_count, dimension = int(header[0]), int(header[1])
+                    except ValueError:
+                        raise ParseError("non-integer header field", line=1) from None
+                    if dimension < 1:
+                        raise ParseError("header dimension must be positive", line=1)
 
-        # A record may end in one space after its last value, as word2vec's "%lf " leaves it.
-        records = ((lineno, *(line[:-1] if line[-1:] == " " != line[-2:-1] and " " in line[:-1]
-                              else line).partition(" ")) for lineno, line in lines if line)
-        for block in iter(lambda: list(islice(records, BLOCK_LINES)), []):
-            if dimension is None:
-                lineno, _, sep, values = block[0]
-                dimension = len(sep) + values.count(" ")
-                if dimension < 1:
-                    raise ParseError("first record has no values", line=lineno)
-            rows = _parse_block(block, dimension)
-            keep = []
-            for i, (_, token, _, _) in enumerate(block):
-                if token not in vocabulary:
-                    vocabulary[token] = len(vocabulary)
-                    keep.append(i)
-            duplicates += len(block) - len(keep)
-            matrix.extend(rows if len(keep) == len(rows) else rows[keep])
+                # A record may end in one space after its last value, as word2vec's
+                # "%lf " leaves it.
+                records = ((n, *(line[:-1] if line[-1:] == " " != line[-2:-1] and " " in line[:-1]
+                                 else line).partition(" ")) for line, n in lines if line)
+                for block in iter(lambda: list(islice(records, BLOCK_LINES)), []):
+                    if dimension is None:
+                        lineno, _, sep, values = block[0]
+                        dimension = len(sep) + values.count(" ")
+                        if dimension < 1:
+                            raise ParseError("first record has no values", line=lineno)
+                    rows = _parse_block(block, dimension)
+                    duplicates += _add([t for _, t, _, _ in block], rows, vocabulary, matrix)
+        if pid == 0:  # the child writes its dimension (0 with no record), duplicates, rows, tokens
+            head = np.array([dimension or 0, duplicates, len(vocabulary)], np.int64)
+            pipe.writelines([head, matrix, "".join(t + "\n" for t in vocabulary).encode(**UTF8)])
+    finally:
+        if pid == 0:  # the parent checks that it read all the child wrote, not how it ended
+            os._exit(0)
+        if pid:  # stop the child, if it still runs, and reap it
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
     if not vocabulary:
         raise ParseError("empty embedding source")

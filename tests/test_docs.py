@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 from helpers import lexicon_of, pair
-from spellvar import evaluate
+from spellvar import embeddings, evaluate
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -35,3 +35,11 @@ def test_readme_product_figures_follow_the_block_constant():
     text = README.read_text(encoding="utf-8")
     sizes = re.findall(r"(\d+) × pool", text) + re.findall(r"block of (\d+) queries", text)
     assert len(sizes) >= 2 and set(sizes) == {str(evaluate.BLOCK)}
+
+
+def test_readme_split_size_follows_the_constant():
+    # "File formats" quotes the size from which the embeddings are parsed by
+    # two processes; it must move with embeddings.SPLIT_BYTES.
+    text = README.read_text(encoding="utf-8")
+    sizes = re.findall(r"at least (\d+) MiB \(`SPLIT_BYTES`\)", text)
+    assert sizes == [str(embeddings.SPLIT_BYTES >> 20)]

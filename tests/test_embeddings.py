@@ -1,13 +1,15 @@
 import io
 import logging
 import math
+import os
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import make_table, random_table, vector_of, write_embeddings
@@ -135,6 +137,44 @@ def embedding_sources(draw):
     return raw
 
 
+@contextmanager
+def split_forced():
+    """Load a path in two processes however small it is, as where two CPUs are allowed;
+    yields a mock of ``os.fork`` that counts the children forked."""
+    with (
+        mock.patch.object(embeddings, "SPLIT_BYTES", 0),
+        mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
+        mock.patch.object(os, "fork", side_effect=os.fork) as fork,
+    ):
+        yield fork
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_between(first: bytes, second: bytes) -> bytes:
+    """``first + second``, then as many blank lines as put the middle byte on ``first``'s
+    closing line feed, so that a load split at the first line feed from the middle on
+    parses ``first`` in the parent and ``second`` in the child."""
+    raw = first + second + b"\n" * (len(first) - len(second) - 2)
+    assert first.endswith(b"\n") and len(raw) // 2 == len(first) - 1
+    return raw
+
+
+def split_outcome(tmp_path, raw: bytes, format: str = "plain"):
+    """``outcome`` of a split load of ``raw`` from a file, which forks one child and
+    leaves none."""
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(raw)
+    with split_forced() as fork:
+        got = outcome(load_embeddings, path, format)
+    assert fork.call_count == 1
+    assert_no_child()
+    return got
+
+
 class TestLoad:
     def test_plain_minimal(self):
         table = load_embeddings(b"a 1 0\nb 0 1\n")
@@ -234,19 +274,23 @@ class TestBlockParser:
     """The streaming block parser against the line-by-line reference."""
 
     @seed(20261018)
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         raw=embedding_sources(),
         format=st.sampled_from(["plain", "headered"]),
         block=st.integers(1, 3),
+        split=st.booleans(),
     )
-    def test_matches_line_by_line_reference(self, raw, format, block):
+    def test_matches_line_by_line_reference(self, tmp_path, raw, format, block, split):
+        # The source is the bytes, or a file loaded in two processes.
         with (
             mock.patch.object(embeddings, "BLOCK_LINES", block),
             warnings.catch_warnings(),
         ):
             warnings.simplefilter("error")
-            got = outcome(load_embeddings, raw, format)
+            got = split_outcome(tmp_path, raw, format) if split else outcome(
+                load_embeddings, raw, format)
         assert got == outcome(reference_load, raw, format)
 
     def test_odd_values_inside_a_block(self):
@@ -306,6 +350,99 @@ class TestBlockParser:
             tracemalloc.stop()
         assert table.matrix.shape == (rows, dimension)
         assert peak < kept + 2.1 * block_text
+
+
+class TestSplitLoad:
+    """A path loaded in two processes: the parent parses the lines before the first line
+    feed from the middle byte on, a forked child those after it."""
+
+    @pytest.mark.parametrize("first, second, message", [
+        # A bad line in each part: the parent's is the first in the file.
+        (b"a 1 2\nb 1 x\n", b"c 1 y\n", "line 2: non-numeric value in [b'1', b'x']"),
+        # Blank lines ended by CRLF and CR just before the split are counted.
+        (b"a 1 2\r\n\r\n\r\r\n", b"b 1 x\n", "line 5: non-numeric value in [b'1', b'x']"),
+        (b"a 1 2\r\r\n\r\n\n", b"b 1\r\n", "line 5: expected 2 values, found 1"),
+        # The child reads another dimension from its first record.
+        (b"a 1 2\nb 3 4\n", b"c 1 2 3\n", "line 3: expected 2 values, found 3"),
+        (b"\n\n\n\n\n\n\n\n\n\n", b"c\nd 1\n", "line 11: first record has no values"),
+    ])
+    def test_first_bad_line_across_the_split(self, tmp_path, first, second, message):
+        raw = split_between(first, second)
+        got = split_outcome(tmp_path, raw)
+        assert got == ("ParseError", message, int(message.split()[1][:-1]))
+        assert got == outcome(reference_load, raw) == outcome(load_embeddings, raw)
+
+    @pytest.mark.parametrize("first, second, vocabulary, duplicates", [
+        (b"a 1 2\nb 3 4\n\n", b"a 5 6\nc 7 8\n", ("a", "b", "c"), 1),
+        (b"a 1 2\nb 3 4\n", "\ufeffc 5 6\n".encode(), ("a", "b", "\ufeffc"), 0),
+        (b"\n\n\n\n\n\n\n\n", b"a 1 2\n", ("a",), 0),
+    ], ids=["repeated token", "U+FEFF opens the child's part", "no record before the split"])
+    def test_table_across_the_split(self, tmp_path, first, second, vocabulary, duplicates):
+        raw = split_between(first, second)
+        got = split_outcome(tmp_path, raw)
+        assert got[0] == vocabulary and got[-1] == duplicates
+        assert got == outcome(reference_load, raw) == outcome(load_embeddings, raw)
+
+    def test_a_byte_order_mark_is_dropped_only_at_the_start_of_the_file(self, tmp_path):
+        raw = split_between(b"\xef\xbb\xbfa 1 2\nb 3 4\n", "\ufeffc 5 6\n".encode())
+        got = split_outcome(tmp_path, raw)
+        assert got[0] == ("a", "b", "\ufeffc")
+        assert got == outcome(load_embeddings, raw)
+
+    def test_header_count_mismatch_is_one_warning(self, tmp_path, caplog):
+        raw = split_between(b"5 2\na 1 2\nb 3 4\n", b"c 5 6\nd 7 8\n")
+        with caplog.at_level(logging.INFO, logger="spellvar.embeddings"):
+            got = split_outcome(tmp_path, raw, "headered")
+        assert got[0] == ("a", "b", "c", "d")
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "header declares 5 records, found 4")
+        ]
+
+    def test_the_parent_holds_the_table_plus_two_block_texts(self, monkeypatch, tmp_path):
+        # TestBlockParser's bound for one process holds for the parent, which takes the
+        # child's rows, not its text: 1.68 block texts here.
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 64)
+        rows, dimension = 1000, 100
+        line = b" ".join([b"-0." + b"1234567890" * 10] * dimension)
+        raw = b"".join(b"w%d %s\n" % (i, line) for i in range(rows))
+        block_text = len(raw) // rows * embeddings.BLOCK_LINES
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(raw)
+        with split_forced() as fork:
+            tracemalloc.start()
+            try:
+                table = load_embeddings(path)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert fork.call_count == 1
+        assert table.matrix.shape == (rows, dimension)
+        assert peak < kept + 2.1 * block_text
+
+    def test_a_parse_error_in_the_first_part_leaves_no_child(self, tmp_path):
+        # The child's part is long enough to be still parsing when the parent fails.
+        second = b"".join(b"w%d 1 2\n" % i for i in range(20000))
+        raw = b"a 1 2\nb x 2\n" + second
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(raw)
+        with split_forced() as fork, pytest.raises(ParseError, match="^line 2: non-numeric"):
+            load_embeddings(path)
+        assert fork.call_count == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("second", [b"c 5 6\na 7 8\n", b"c 5 6\nd 7 x\n"])
+    def test_a_child_that_dies_leaves_no_child_and_its_part_is_parsed_here(
+            self, tmp_path, monkeypatch, second):
+        parent, parse_block = os.getpid(), embeddings._parse_block
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return parse_block(*args)
+
+        monkeypatch.setattr(embeddings, "_parse_block", dying)
+        raw = split_between(b"a 1 2\nb 3 4\n\n\n", second)
+        assert split_outcome(tmp_path, raw) == outcome(reference_load, raw)
 
 
 class TestLoadAtDefaults:

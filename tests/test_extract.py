@@ -396,6 +396,15 @@ class TestDefinitionsIO:
         assert len(sink.getvalue().splitlines()) == 2
         again = list(read_definitions(sink.getvalue()))
         assert again == entries
+        # A lone carriage return in a definition is field data, written back escaped.
+        raw = b"e1\thw\tfirst part\rsecond part\ne2\thw2\tok\n"
+        entries = list(read_definitions(raw))
+        assert entries == [
+            DefinitionEntry("e1", "hw", "first part\rsecond part"), DefinitionEntry("e2", "hw2", "ok"),
+        ]
+        sink = io.BytesIO()
+        write_definitions(entries, sink)
+        assert sink.getvalue() == raw.replace(b"\r", b"\\r")
 
     def test_empty_file_is_empty_dump(self):
         assert list(read_definitions(b"")) == []

@@ -218,6 +218,8 @@ class TestFrequencies:
         again = load_frequencies(sink.getvalue())
         assert again.counts == freq.counts
         assert again.total_tokens == freq.total_tokens
+        # One carriage return before each line feed is dropped, so a CRLF file loads.
+        assert load_frequencies(sink.getvalue().replace(b"\n", b"\r\n")).counts == freq.counts
 
     def test_tokens_with_tabs_and_backslashes_round_trip(self, tmp_path):
         table = FrequencyTable(counts={"a\tb": 2, "back\\slash": 1, "plain": 5})
@@ -228,6 +230,10 @@ class TestFrequencies:
     def test_load_rejects_bad_field_count(self):
         with pytest.raises(ParseError, match="line 1"):
             load_frequencies(b"solo\n")
+        # A record ends only at a line feed: a lone carriage return is field data.
+        with pytest.raises(ParseError) as caught:
+            load_frequencies(b"a\t5\rb\t6\n")
+        assert str(caught.value) == "line 1: expected 2 tab-separated fields, found 3"
 
     def test_load_rejects_non_integer(self):
         with pytest.raises(ParseError, match="^line 2: non-integer count 'many'$"):
