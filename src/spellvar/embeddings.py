@@ -166,9 +166,9 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     value that is not finite or not in float32's range is a ParseError naming its line,
     the first bad one in the file. A header count that differs from the records found
     is logged as a warning. Beside the matrix and the tokens it holds one block of lines.
-    A path of at least ``SPLIT_BYTES`` is parsed by two processes where ``os.fork`` exists, 2
-    or more CPUs are allowed and no other thread runs (a forked child takes the lines after the
-    first line feed from the middle byte on), with the same table, warnings, errors, memory bound.
+    A path of at least ``SPLIT_BYTES`` is parsed by two processes where 2 or more CPUs are allowed,
+    no other thread runs and ``os.fork`` succeeds (a forked child takes the lines after the first
+    line feed from the middle byte on), else by one: the same table, warnings, errors, memory bound.
     """
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
@@ -185,9 +185,14 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
             with text_reader(source, size // 2) as stream:  # split just past the next line feed
                 split = size // 2 + len(stream.buffer.readline())
             read, write = os.pipe()  # the child writes unbuffered, as os._exit flushes nothing
-            pipe = os.fdopen(read, "rb") if (pid := os.fork()) else os.fdopen(write, "wb", 0)
-            os.close(write if pid else read)
-            parts = [(0, split), (split, None)] if pid else [(split, None)]
+            try:
+                pid = os.fork()
+            except OSError:  # no child (EAGAIN, ENOMEM): this process parses the whole file
+                os.close(read), os.close(write)
+            else:
+                pipe = os.fdopen(read, "rb") if pid else os.fdopen(write, "wb", 0)
+                os.close(write if pid else read)
+                parts = [(0, split), (split, None)] if pid else [(split, None)]
         for start, end in parts:
             if pid and end is None:  # the child's part, unless cut short or of another dimension
                 part = pipe.read()  # a head cut short reads as -1s, which no token count matches

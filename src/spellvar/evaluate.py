@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -78,9 +78,13 @@ class PairStatus(enum.Enum):
     FORMAL_MISSING = "formal_missing"
 
 
+# The pair of a report line, which records no entry id or delimiter.
+ReportPair = namedtuple("ReportPair", "informal formal")
+
+
 @dataclass
 class PairResult:
-    pair: VariantPair
+    pair: VariantPair | ReportPair
     status: PairStatus
     rank: int | None = None
     top_neighbors: list[tuple[str, float]] = field(default_factory=list)
@@ -252,7 +256,7 @@ def evaluate_pairs(
     )
 
 
-def diagnostics_rows(rows: list["ReportRow"], n_worst: int) -> str:
+def diagnostics_rows(rows: list[PairResult], n_worst: int) -> str:
     """The worst-ranked scored report rows, each with its nearest formal tokens.
 
     Rows are listed by descending rank; ties keep input order.
@@ -264,7 +268,7 @@ def diagnostics_rows(rows: list["ReportRow"], n_worst: int) -> str:
     for r in scored[:n_worst]:
         near = ", ".join(f"{t}:{_score_text(s)}" for t, s in r.top_neighbors[:5])
         lines.append(
-            f"  rank {r.rank:>6d}  {r.informal} -> {r.formal}  nearest: {near}"
+            f"  rank {r.rank:>6d}  {r.pair.informal} -> {r.pair.formal}  nearest: {near}"
         )
     if not scored:
         lines.append("  (no scored pairs)")
@@ -330,18 +334,7 @@ def write_report(report: EvalReport, text_sink, tsv_sink) -> None:
         write_text(tsv_stream, tsv)
 
 
-@dataclass
-class ReportRow:
-    """One parsed line of the machine-readable report."""
-
-    informal: str
-    formal: str
-    status: PairStatus
-    rank: int | None
-    top_neighbors: list[tuple[str, float]]
-
-
-def _report_row(informal, formal, status_text, rank_text, neighbor_text) -> ReportRow:
+def _report_row(informal, formal, status_text, rank_text, neighbor_text) -> PairResult:
     try:
         status = PairStatus(status_text)
     except ValueError:
@@ -361,17 +354,17 @@ def _report_row(informal, formal, status_text, rank_text, neighbor_text) -> Repo
         except ValueError:
             raise ValueError(f"malformed neighbor {item!r}") from None
         neighbors.append((token, score))
-    return ReportRow(informal, formal, status, rank, neighbors)
+    return PairResult(ReportPair(informal, formal), status, rank, neighbors)
 
 
-def load_report_rows(source) -> list[ReportRow]:
-    """Parse the machine-readable report back into rows; a bad line is its ParseError."""
+def load_report_rows(source) -> list[PairResult]:
+    """The machine-readable report's lines as ``PairResult`` rows; a bad line is its ParseError."""
     return list(read_records(source, 5, _report_row))
 
 
 def summarize_rows(rows: list, cutoffs: Iterable[int]) -> tuple[Counter, dict[int, int]]:
-    """The one tally of ``PairResult`` or ``ReportRow`` rows: ``(rows per status,
-    hits_at)``, ``hits_at[c]`` the scored rows ranked c or better (``{}`` if none)."""
+    """The one tally of report rows: ``(rows per status, hits_at)``, ``hits_at[c]``
+    the scored rows ranked c or better (``{}`` if none)."""
     ranks = [r.rank for r in rows if r.status is PairStatus.SCORED]
     hits_at = {c: sum(rank <= c for rank in ranks) for c in cutoffs} if ranks else {}
     return Counter(r.status for r in rows), hits_at

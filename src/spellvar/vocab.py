@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ._fileio import count_field, read_records, text_reader, write_records, write_text
@@ -47,21 +47,13 @@ class FormalLexicon:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Exact token counts from a corpus sample."""
+class FrequencyTable(Counter):
+    """Exact token counts from a corpus sample; an absent token counts 0."""
 
-    counts: dict[str, int] = field(default_factory=dict)
+    def __init__(self, counts=()):  # a keyword ``counts`` is the table, not a token
+        super().__init__(counts)
 
-    @property
-    def total_tokens(self) -> int:
-        return sum(self.counts.values())
-
-    def __getitem__(self, token: str) -> int:
-        return self.counts.get(token, 0)
-
-    def __len__(self) -> int:
-        return len(self.counts)
+    total_tokens = property(Counter.total)
 
 
 def tokenize(text: str) -> list[str]:
@@ -128,7 +120,7 @@ def write_lexicon(lexicon: FormalLexicon, sink) -> None:
 
 def count_frequencies(corpus: Iterable[str]) -> FrequencyTable:
     """Exact per-token counts; total_tokens is the stream length."""
-    return FrequencyTable(counts=dict(Counter(corpus)))
+    return FrequencyTable(corpus)
 
 
 def load_frequencies(source) -> FrequencyTable:
@@ -144,11 +136,11 @@ def load_frequencies(source) -> FrequencyTable:
 
     for token, count in read_records(source, 2, entry):
         counts[token] = count
-    return FrequencyTable(counts=counts)
+    return FrequencyTable(counts)
 
 
 def write_frequencies(table: FrequencyTable, sink) -> None:
     """Write ``token TAB count`` lines, most frequent first."""
-    ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))
     write_records(sink, ((token, str(count)) for token, count in ranked))
 

@@ -1,3 +1,4 @@
+import errno
 import io
 import logging
 import math
@@ -443,6 +444,20 @@ class TestSplitLoad:
         monkeypatch.setattr(embeddings, "_parse_block", dying)
         raw = split_between(b"a 1 2\nb 3 4\n\n\n", second)
         assert split_outcome(tmp_path, raw) == outcome(reference_load, raw)
+
+    @pytest.mark.parametrize("first", [b"a 1 2\nb 3 4\n\n\n", b"a 1 2\nb 3 x\n\n\n"],
+                             ids=["clean", "bad line before the split"])
+    def test_a_failed_fork_closes_the_pipe_and_parses_the_whole_file_here(self, tmp_path, first):
+        raw = split_between(first, b"c 5 6\na 7 8\n")
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(raw)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        with split_forced() as fork:
+            fork.side_effect = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            got = outcome(load_embeddings, path)
+        assert fork.call_count == 1
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert got == outcome(reference_load, raw)
 
 
 class TestLoadAtDefaults:

@@ -18,9 +18,10 @@ from spellvar.evaluate import (
     DEFAULT_CUTOFFS,
     CandidatePool,
     EvalConfig,
+    EvalReport,
     PairResult,
     PairStatus,
-    ReportRow,
+    ReportPair,
     accuracy_summary,
     brute_force_rank,
     diagnostics_rows,
@@ -922,7 +923,7 @@ class TestReportRendering:
         write_report(report, base / "prop.report", base / "prop.report.tsv")
         [row] = load_report_rows(base / "prop.report.tsv")
         [result] = report.per_pair
-        assert (row.informal, row.formal, row.rank) == (informal, "target", result.rank)
+        assert (row.pair.informal, row.pair.formal, row.rank) == (informal, "target", result.rank)
         assert [t for t, _ in row.top_neighbors] == [t for t, _ in result.top_neighbors]
         expected = [float(f"{s:.6f}") for _, s in result.top_neighbors]
         assert [s for _, s in row.top_neighbors] == expected
@@ -932,8 +933,8 @@ class TestReportRendering:
         rows = load_report_rows(render_report_tsv(report).encode())
         assert len(rows) == 2
         for row, result in zip(rows, report.per_pair):
-            assert row.informal == result.pair.informal
-            assert row.formal == result.pair.formal
+            assert row.pair.informal == result.pair.informal
+            assert row.pair.formal == result.pair.formal
             assert row.status is result.status
             assert row.rank == result.rank
             assert [t for t, _ in row.top_neighbors] == [
@@ -986,6 +987,18 @@ class TestLoadReportRows:
         rows = load_report_rows(self.GOOD)
         assert rows[0].rank == 1
         assert rows[0].top_neighbors == [("your", 0.993884), ("babylon", 0.0)]
+
+    def test_rows_are_the_results_evaluate_pairs_reports(self):
+        # A line records no entry id or delimiter, so its pair is a ReportPair;
+        # the rows render back to the same bytes as evaluate_pairs' results.
+        tsv = self.GOOD + b"ghost\tx\tinformal_missing\t-\t\n"
+        rows = load_report_rows(tsv)
+        assert rows == [
+            PairResult(ReportPair("ur", "your"), PairStatus.SCORED, 1,
+                       [("your", 0.993884), ("babylon", 0.0)]),
+            PairResult(ReportPair("ghost", "x"), PairStatus.INFORMAL_MISSING, None, []),
+        ]
+        assert render_report_tsv(EvalReport(rows, EvalConfig())).encode() == tsv
 
     def test_neighbor_token_may_contain_colon(self):
         rows = load_report_rows(b"a\tb\tscored\t2\tx:y:0.500000\n")
@@ -1062,7 +1075,8 @@ class TestAccuracySummary:
 class TestDiagnostics:
     def rows(self, ranks):
         return [
-            ReportRow(f"inf{i}", f"w{i:03d}", PairStatus.SCORED, r, [(f"n{i}", 0.25)])
+            PairResult(ReportPair(f"inf{i}", f"w{i:03d}"), PairStatus.SCORED, r,
+                       [(f"n{i}", 0.25)])
             for i, r in enumerate(ranks)
         ]
 
@@ -1086,14 +1100,14 @@ class TestDiagnostics:
 
     def test_skips_unscored(self):
         rows = self.rows([4]) + [
-            ReportRow("ghost", "x", PairStatus.INFORMAL_MISSING, None, [])
+            PairResult(ReportPair("ghost", "x"), PairStatus.INFORMAL_MISSING, None, [])
         ]
         text = diagnostics_rows(rows, n_worst=5)
         assert "ghost" not in text
 
     def test_top_five_neighbors_shown(self):
-        row = ReportRow(
-            "a", "b", PairStatus.SCORED, 9,
+        row = PairResult(
+            ReportPair("a", "b"), PairStatus.SCORED, 9,
             [(f"n{i}", 0.9 - 0.1 * i) for i in range(8)],
         )
         text = diagnostics_rows([row], n_worst=1)

@@ -20,10 +20,8 @@ from hypothesis import strategies as st
 from helpers import write_definitions
 from spellvar._fileio import UTF8, write_text
 from spellvar.cli import main
-from spellvar.evaluate import (
-    EvalConfig, EvalReport, PairResult, load_report_rows, render_report_tsv,
-)
-from spellvar.extract import Delimiter, VariantPair, read_pairs, write_pairs
+from spellvar.evaluate import EvalConfig, EvalReport, load_report_rows, render_report_tsv
+from spellvar.extract import read_pairs, write_pairs
 from spellvar.vocab import load_frequencies, load_lexicon, write_frequencies, write_lexicon
 
 # Tokens the inputs share, so that pairs reach evaluate and neighbours the
@@ -79,9 +77,7 @@ def pipeline_inputs(draw):
 
 def _write_report_rows(rows, sink) -> None:
     """Report rows as ``evaluate`` writes its ``.tsv``."""
-    results = [PairResult(VariantPair(r.informal, r.formal, "", Delimiter.BRACKET), r.status,
-                          r.rank, r.top_neighbors) for r in rows]
-    write_text(sink, render_report_tsv(EvalReport(results, EvalConfig())))
+    write_text(sink, render_report_tsv(EvalReport(rows, EvalConfig())))
 
 
 def _rewritten(load, write):

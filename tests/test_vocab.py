@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -61,7 +62,7 @@ class TestTokenizerReference:
             assert tokenize(line) == list(reference_tokenize(line))
         counts, total = reference_counts(lines)
         table = count_frequencies(chain.from_iterable(map(tokenize, lines)))
-        assert (table.counts, table.total_tokens) == (counts, total)
+        assert (dict(table), table.total_tokens) == (counts, total)
         if not total:
             with pytest.raises(ValueError, match="empty corpus"):
                 build_lexicon(chain.from_iterable(map(tokenize, lines)), min_count)
@@ -183,17 +184,26 @@ class TestLexiconIO:
 class TestFrequencies:
     def test_count_basic(self):
         freq = count_frequencies(["a", "a", "b"])
-        assert freq.counts == {"a": 2, "b": 1}
+        assert dict(freq) == {"a": 2, "b": 1}
         assert freq.total_tokens == 3
 
     def test_empty_stream(self):
         freq = count_frequencies([])
-        assert freq.counts == {}
+        assert dict(freq) == {}
         assert freq.total_tokens == 0
 
     def test_missing_token_is_zero(self):
         freq = count_frequencies(["a"])
         assert freq["zzz"] == 0
+
+    def test_counts_keyword_is_the_table(self):
+        # A bare Counter would count a keyword as a token: {"counts": {...}}.
+        freq = FrequencyTable(counts={"a": 5, "b": 2})
+        assert isinstance(freq, Counter)
+        assert (dict(freq), freq["counts"], freq.total_tokens) == ({"a": 5, "b": 2}, 0, 7)
+        assert dict(FrequencyTable({"a": 5})) == dict(FrequencyTable(counts=["a"] * 5))
+        with pytest.raises(TypeError):
+            FrequencyTable(a=5)
 
     @given(st.lists(st.text(alphabet="xy", min_size=1, max_size=3), max_size=25), st.randoms())
     @settings(max_examples=100)
@@ -202,7 +212,7 @@ class TestFrequencies:
         rnd.shuffle(shuffled)
         a = count_frequencies(tokens)
         b = count_frequencies(shuffled)
-        assert a.counts == b.counts
+        assert dict(a) == dict(b)
         assert a.total_tokens == b.total_tokens
 
     def test_write_orders_by_count_then_token(self):
@@ -216,16 +226,16 @@ class TestFrequencies:
         sink = io.BytesIO()
         write_frequencies(freq, sink)
         again = load_frequencies(sink.getvalue())
-        assert again.counts == freq.counts
+        assert dict(again) == dict(freq)
         assert again.total_tokens == freq.total_tokens
         # One carriage return before each line feed is dropped, so a CRLF file loads.
-        assert load_frequencies(sink.getvalue().replace(b"\n", b"\r\n")).counts == freq.counts
+        assert dict(load_frequencies(sink.getvalue().replace(b"\n", b"\r\n"))) == dict(freq)
 
     def test_tokens_with_tabs_and_backslashes_round_trip(self, tmp_path):
         table = FrequencyTable(counts={"a\tb": 2, "back\\slash": 1, "plain": 5})
         path = tmp_path / "freq.tsv"
         write_frequencies(table, path)
-        assert load_frequencies(path).counts == table.counts
+        assert dict(load_frequencies(path)) == dict(table)
 
     def test_load_rejects_bad_field_count(self):
         with pytest.raises(ParseError, match="line 1"):
