@@ -202,18 +202,20 @@ def read_definitions(source) -> Iterator[DefinitionEntry]:
 
 
 def write_pairs(pairs: Iterable[VariantPair], sink) -> None:
+    """Write one record per pair; ValueError, before writing, for a pair ``read_pairs`` refuses."""
     write_records(sink, (
-        (p.informal, p.formal, p.entry_id, p.delimiter.value, p.validation.value)
+        (_informal(p.informal), p.formal, p.entry_id, p.delimiter.value, p.validation.value)
         for p in pairs
     ))
 
 
-def _pair(informal, formal, entry_id, delimiter, validation) -> VariantPair:
-    if informal.startswith("\ufeff"):  # a report opening with its row would not read back
-        raise ValueError(f"informal token {informal!r} opens with U+FEFF")
-    return VariantPair(informal, formal, entry_id, Delimiter(delimiter), Validation(validation))
+def _informal(token: str) -> str:
+    if token.startswith("\ufeff"):  # a report opening with its row would not read back
+        raise ValueError(f"informal token {token!r} opens with U+FEFF")
+    return token
 
 
 def read_pairs(source) -> list[VariantPair]:
     """Read a pairs file; a bad line is the ParseError naming it."""
-    return list(read_records(source, 5, _pair))
+    return list(read_records(source, 5, lambda i, f, e, d, v: VariantPair(
+        _informal(i), f, e, Delimiter(d), Validation(v))))

@@ -1,9 +1,9 @@
 """Formal lexicon and corpus frequency tables.
 
-The lexicon is the list of tokens counted as standard-dialect vocabulary;
-neighbor ranking is restricted to it. The frequency table is an occurrence
-count over an informal corpus sample, used to drop rare headwords during
-pair extraction.
+The lexicon is a ``frozenset`` of the tokens counted as standard-dialect vocabulary;
+neighbor ranking is restricted to it. The frequency table is a ``Counter`` of token
+occurrences in an informal corpus sample, used to drop rare headwords during pair
+extraction. Each writer refuses, before writing, what its loader would refuse.
 
 The stored lexicon is folded to lowercase, and membership is exact: a
 token is in the lexicon only as stored, so ``Your`` is not a formal token
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable
 
 from ._fileio import count_field, read_records, text_reader, write_records, write_text
@@ -33,18 +32,13 @@ TOKENIZATION_NOTE = (
 _ASCII_NON_ALNUM = "".join(c for c in map(chr, range(128)) if not c.isalnum())
 
 
-@dataclass(frozen=True)
-class FormalLexicon:
-    """A set of lowercase tokens deemed formal."""
+class FormalLexicon(frozenset):
+    """A frozenset of lowercase formal tokens; ``duplicates`` counts lines a load collapsed."""
 
-    tokens: frozenset[str]
-    duplicates: int = 0
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.tokens
-
-    def __len__(self) -> int:
-        return len(self.tokens)
+    def __new__(cls, tokens: Iterable[str] = (), duplicates: int = 0):
+        lexicon = super().__new__(cls, tokens)
+        lexicon.duplicates = duplicates
+        return lexicon
 
 
 class FrequencyTable(Counter):
@@ -87,8 +81,7 @@ def build_lexicon(corpus: Iterable[str], min_count: int = 1) -> FormalLexicon:
         counts[token.lower()] += count
     if not counts:
         raise ValueError("empty corpus")
-    kept = frozenset(t for t, c in counts.items() if c >= min_count)
-    return FormalLexicon(tokens=kept)
+    return FormalLexicon(t for t, c in counts.items() if c >= min_count)
 
 
 def load_lexicon(source) -> FormalLexicon:
@@ -104,16 +97,16 @@ def load_lexicon(source) -> FormalLexicon:
     duplicates = counts.total() - len(counts)
     if duplicates:
         log.warning("collapsed %d duplicate lexicon tokens", duplicates)
-    return FormalLexicon(tokens=frozenset(counts), duplicates=duplicates)
+    return FormalLexicon(counts, duplicates)
 
 
 def write_lexicon(lexicon: FormalLexicon, sink) -> None:
     """Write one token per line, sorted; ValueError, before writing, if it would not read back."""
-    tokens = sorted(lexicon.tokens)
+    tokens = sorted(lexicon)
     if not tokens:
         raise ValueError("empty lexicon would not read back")
     for token in tokens:
-        if token.split() != [token] or token.startswith("\ufeff"):
+        if token.split() != [token] or token.startswith("\ufeff") or token != token.lower():
             raise ValueError(f"lexicon token {token!r} would not read back as written")
     write_text(sink, "".join(token + "\n" for token in tokens))
 
@@ -140,7 +133,10 @@ def load_frequencies(source) -> FrequencyTable:
 
 
 def write_frequencies(table: FrequencyTable, sink) -> None:
-    """Write ``token TAB count`` lines, most frequent first."""
+    """Write ``token TAB count`` lines, most frequent first; ValueError, before writing,
+    for a count ``load_frequencies`` would refuse, such as 0 or -1."""
+    for count in filter(lambda c: type(c) is not int or c < 1, table.values()):
+        count_field(str(count), "count")  # the rule's one owner; a plain int >= 1 passes it
     ranked = sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))
     write_records(sink, ((token, str(count)) for token, count in ranked))
 

@@ -3,6 +3,7 @@ import io
 import logging
 import math
 import os
+import sys
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -419,6 +420,20 @@ class TestSplitLoad:
         assert fork.call_count == 1
         assert table.matrix.shape == (rows, dimension)
         assert peak < kept + 2.1 * block_text
+
+    @pytest.mark.xfail(sys.version_info >= (3, 12), strict=True, reason=(
+        "ROADMAP item 5: from Python 3.12 os.fork() warns (DeprecationWarning) in a process "
+        "with a native thread beside the main one, such as a BLAS thread pool"))
+    def test_a_split_load_forks_once_and_warns_nothing(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(split_between(b"a 1 2\nb 3 4\n\n\n", b"c 5 6\nd 7 8\n"))
+        with split_forced() as fork, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = load_embeddings(path)
+        assert fork.call_count == 1
+        assert [str(w.message) for w in caught] == []
+        assert table.vocabulary == ("a", "b", "c", "d")
+        assert_no_child()
 
     def test_a_parse_error_in_the_first_part_leaves_no_child(self, tmp_path):
         # The child's part is long enough to be still parsing when the parent fails.

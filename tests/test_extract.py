@@ -502,6 +502,18 @@ class TestPairsIO:
         assert lines[0] == "suxx\tsucks\te1\tdouble_quote\tunvalidated"
         assert read_pairs(sink.getvalue()) == pairs
 
+    def test_write_refuses_an_informal_token_opening_with_u_feff(self):
+        pairs = [VariantPair("suxx", "sucks", "e1", Delimiter.DOUBLE_QUOTE),
+                 VariantPair("\ufeffu", "you", "e2", Delimiter.BRACKET)]
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match="^informal token '\\\\ufeffu' opens with U\\+FEFF$"):
+            write_pairs(pairs, sink)
+        assert sink.getvalue() == b""
+        # The load refuses the line the writer would have written.
+        with pytest.raises(ParseError, match="^line 2: informal token '\\\\ufeffu' opens with"):
+            read_pairs("suxx\tsucks\te1\tdouble_quote\tunvalidated\n"
+                       "\ufeffu\tyou\te2\tbracket\tunvalidated\n".encode())
+
     def test_field_count_error(self):
         with pytest.raises(ParseError, match="line 1"):
             read_pairs(b"suxx\tsucks\te1\tdouble_quote\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import lexicon_of, reference_counts, reference_lexicon, reference_tokenize
 from spellvar.errors import ParseError
 from spellvar.vocab import (
+    FormalLexicon,
     FrequencyTable,
     build_lexicon,
     count_frequencies,
@@ -68,7 +69,7 @@ class TestTokenizerReference:
                 build_lexicon(chain.from_iterable(map(tokenize, lines)), min_count)
             return
         lexicon = build_lexicon(chain.from_iterable(map(tokenize, lines)), min_count)
-        assert lexicon.tokens == reference_lexicon(lines, min_count)
+        assert lexicon == reference_lexicon(lines, min_count)
 
     def test_slow_path_cases(self):
         text = "«Word» —x— ’tis ΣΑΣ \udcffa\udcff İ \u212a a-\u0307 \u00a0-b-\x85"
@@ -80,20 +81,20 @@ class TestBuildLexicon:
     def test_min_count_threshold(self):
         # token stream "the cat the": threshold 2 keeps only "the"
         lex = build_lexicon(["the", "cat", "the"], min_count=2)
-        assert lex.tokens == frozenset({"the"})
+        assert lex == frozenset({"the"})
 
     def test_inclusive_floor(self):
         lex = build_lexicon(["the", "cat", "the"], min_count=1)
-        assert lex.tokens == frozenset({"the", "cat"})
+        assert lex == frozenset({"the", "cat"})
 
     def test_min_count_one_gives_distinct_tokens(self):
         tokens = ["b", "a", "b", "c", "a"]
         lex = build_lexicon(tokens, min_count=1)
-        assert lex.tokens == frozenset(tokens)
+        assert lex == frozenset(tokens)
 
     def test_folds_case(self):
         lex = build_lexicon(["Two", "two"], min_count=2)
-        assert lex.tokens == frozenset({"two"})
+        assert lex == frozenset({"two"})
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -111,7 +112,7 @@ class TestBuildLexicon:
     def test_raising_min_count_shrinks_lexicon(self, tokens, min_count):
         lo = build_lexicon(tokens, min_count=min_count)
         hi = build_lexicon(tokens, min_count=min_count + 1)
-        assert hi.tokens <= lo.tokens
+        assert hi <= lo
 
 
 class TestLexiconIO:
@@ -125,15 +126,15 @@ class TestLexiconIO:
 
     def test_load_folds_and_dedups(self):
         lex = load_lexicon(b"Sucks\nsucks\nreceive\n")
-        assert lex.tokens == frozenset({"sucks", "receive"})
+        assert lex == frozenset({"sucks", "receive"})
         assert lex.duplicates == 1
         lex = load_lexicon(b"A\n \na\n\n\t\nb\n")
-        assert lex.tokens == frozenset({"a", "b"})
+        assert lex == frozenset({"a", "b"})
         assert lex.duplicates == 1
 
     def test_load_skips_blank_lines(self):
         lex = load_lexicon(b"a\n\nb\n")
-        assert lex.tokens == frozenset({"a", "b"})
+        assert lex == frozenset({"a", "b"})
 
     def test_load_empty_rejected(self):
         with pytest.raises(ParseError, match="empty"):
@@ -146,11 +147,12 @@ class TestLexiconIO:
         write_lexicon(lexicon_of("zebra", "apple", "mango"), sink)
         assert sink.getvalue() == b"apple\nmango\nzebra\n"
 
-    @pytest.mark.parametrize("token", ["x\ny", " pad", "a\tb", "", "\u3000", "\ufeffa"])
+    # load_lexicon folds case, so "Your" would read back as "your".
+    @pytest.mark.parametrize("token", ["x\ny", " pad", "a\tb", "", "\u3000", "\ufeffa", "Your"])
     def test_write_rejects_a_token_that_would_not_read_back(self, token):
         sink = io.BytesIO()
         with pytest.raises(ValueError, match="would not read back") as raised:
-            write_lexicon(build_lexicon(["ok", token]), sink)
+            write_lexicon(FormalLexicon({"ok", token}), sink)
         assert repr(token) in str(raised.value)
         assert sink.getvalue() == b""
 
@@ -169,16 +171,16 @@ class TestLexiconIO:
         try:
             write_lexicon(lexicon, sink)
         except ValueError:
-            assert any(t.split() != [t] or t.startswith("\ufeff") for t in lexicon.tokens)
+            assert any(t.split() != [t] or t.startswith("\ufeff") for t in lexicon)
             return
-        assert load_lexicon(sink.getvalue()).tokens == lexicon.tokens
+        assert load_lexicon(sink.getvalue()) == lexicon
 
     def test_round_trip(self):
         lex = lexicon_of("gamma", "alpha", "beta")
         sink = io.BytesIO()
         write_lexicon(lex, sink)
         again = load_lexicon(sink.getvalue())
-        assert again.tokens == lex.tokens
+        assert again == lex
 
 
 class TestFrequencies:
@@ -230,6 +232,26 @@ class TestFrequencies:
         assert again.total_tokens == freq.total_tokens
         # One carriage return before each line feed is dropped, so a CRLF file loads.
         assert dict(load_frequencies(sink.getvalue().replace(b"\n", b"\r\n"))) == dict(freq)
+
+    @pytest.mark.parametrize("counts, lowered", [
+        ({"a": 2, "c": 0}, None),
+        ({"a": 2, "b": 1}, "b"),
+        ({"a": 2.0}, None),
+        ({"a": True}, None),
+    ], ids=["zero", "lowered by -=", "float", "bool"])
+    def test_write_refuses_a_count_the_load_refuses(self, counts, lowered):
+        table = FrequencyTable(counts)
+        if lowered:
+            table[lowered] -= 2
+        sink = io.BytesIO()
+        with pytest.raises(ValueError) as refused:
+            write_frequencies(table, sink)
+        assert sink.getvalue() == b""
+        # The lines the writer would have written, and the load's error on them.
+        ranked = sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))
+        with pytest.raises(ParseError) as caught:
+            load_frequencies("".join(f"{t}\t{c}\n" for t, c in ranked).encode())
+        assert str(caught.value) == f"line {len(ranked)}: {refused.value}"
 
     def test_tokens_with_tabs_and_backslashes_round_trip(self, tmp_path):
         table = FrequencyTable(counts={"a\tb": 2, "back\\slash": 1, "plain": 5})
