@@ -13,12 +13,12 @@ to the same byte. A table is immutable once built and safe to share across threa
 Loading streams the source: it is read line by line through ``_fileio.text_reader``,
 each line held as the text it decodes to, and its records are parsed ``BLOCK_LINES``
 at a time, each block by one ``np.loadtxt`` call, or line by line where that call
-cannot vouch for the block; the line parser alone holds the rules and messages for
-one line. So beside the matrix the loader holds one block of records, each line split
-once into its token and its values text, however large the file, also where a forked child
-parses the second half of a path of ``SPLIT_BYTES`` or more, for the same result. Values are parsed
-exactly as ``float()`` parses their bytes, so a non-ASCII digit or space is refused,
-and must be finite in float32: a wrong value count, a non-numeric value, a NaN
+cannot vouch for the block; the line parser alone holds the rules and messages for one line. So
+beside the matrix the loader holds one block of records, each line split once into its token and its
+values text, however large the file or many its repeated tokens, also where a forked child parses
+the second half of a path of ``SPLIT_BYTES`` or more and hands its rows over a block at a time, for
+the same result. Values are parsed exactly as ``float()`` parses their bytes, so a non-ASCII digit
+or space is refused, and must be finite in float32: a wrong value count, a non-numeric value, a NaN
 or infinity, or a value past float32's range is a ParseError naming its line.
 """
 
@@ -137,45 +137,34 @@ def _parse_block(block: list[tuple[int, str, str, str]], dimension: int) -> np.n
     return rows
 
 
-def _add(tokens, rows, vocabulary: dict[str, int], matrix: bytearray) -> int:
-    """Append the rows of new tokens; return how many were duplicates."""
-    keep = []
-    for i, token in enumerate(tokens):
-        if token not in vocabulary:
-            vocabulary[token] = len(vocabulary)
-            keep.append(i)
-    matrix.extend(rows if len(keep) == len(rows) else rows[keep])
-    return len(rows) - len(keep)
-
-
 def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     """Parse an embedding file into an EmbeddingTable.
 
     ``source`` may be a path, bytes, or a binary file object. ``format`` is
     ``plain`` (dimension inferred from the first data line) or ``headered``
-    (first line is ``count dim``). Duplicate tokens keep the first
-    occurrence and are tallied on the returned table.
+    (first line is ``count dim``). Duplicate tokens keep the first occurrence, and a repeat's
+    row is dropped with its block; ``duplicates`` is the records read less the tokens kept.
 
     The source is read line by line through ``text_reader``, each line split as
     ``bytes.splitlines()`` splits (at LF, CR or CRLF), kept as the text it decodes to,
     and split once at its first space; one space after the last value is dropped. The
     token is kept as decoded; the header and ``_parse_row``'s values are parsed from their
-    bytes. ``_parse_block`` parses ``BLOCK_LINES`` non-blank lines at a time
-    with one numpy call straight to float32, and ``_parse_row`` any block it cannot
-    vouch for. Each value is parsed as ``float()`` parses its bytes and stored as float32; a
-    value that is not finite or not in float32's range is a ParseError naming its line,
-    the first bad one in the file. A header count that differs from the records found
-    is logged as a warning. Beside the matrix and the tokens it holds one block of lines.
-    A path of at least ``SPLIT_BYTES`` is parsed by two processes where 2 or more CPUs are allowed,
-    no other thread runs and ``os.fork`` succeeds (a forked child takes the lines after the first
-    line feed from the middle byte on), else by one: the same table, warnings, errors, memory bound.
+    bytes. ``_parse_block`` parses ``BLOCK_LINES`` non-blank lines at a time with one numpy call
+    straight to float32, and ``_parse_row`` any block it cannot vouch for. Each value is parsed as
+    ``float()`` parses its bytes and stored as float32; a value that is not finite or not in
+    float32's range is a ParseError naming its line, the first bad one in the file. A header count
+    that differs from the records found is logged as a warning. Beside the matrix and the tokens it
+    holds one block of lines. A path of at least ``SPLIT_BYTES`` is parsed by two processes where 2
+    or more CPUs are allowed, no other thread runs and ``os.fork`` succeeds (a forked child takes
+    the lines after the first line feed from the middle byte on, and the parent reads its rows onto
+    the matrix a block at a time), else by one: the same table, warnings, errors, memory bound.
     """
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
     dimension, pid = None, None
-    vocabulary: dict[str, int] = {}  # token -> row, in first-occurrence order
-    matrix = bytearray()  # the float32 rows, grown in place block by block
-    duplicates = 0
+    first: dict[str, int] = {}  # token -> the number of its first record, in that order
+    seen = 0  # the records read here or by the child, each numbered by the count before it
+    matrix = bytearray()  # the float32 rows of the tokens in first, grown in place block by block
     numbers = count(1)  # line numbers, the second part's following the first's
     parts = [(0, None)]  # the byte ranges parsed in this process
     try:  # os.sched_getaffinity exists only where os.fork does
@@ -195,14 +184,23 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
                 parts = [(0, split), (split, None)] if pid else [(split, None)]
         for start, end in parts:
             if pid and end is None:  # the child's part, unless cut short or of another dimension
-                part = pipe.read()  # a head cut short reads as -1s, which no token count matches
-                found, more, rows = np.frombuffer(part.ljust(24, b"\xff"), np.int64, 3).tolist()
-                tokens = part[24 + 4 * rows * found :].decode(**UTF8).split("\n")[:-1]
+                head = pipe.read(24).ljust(24, b"\xff")  # cut short, its counts read < 0
+                found, parsed, rows = np.frombuffer(head, np.int64).tolist()
+                at = len(matrix)
+                for n in range(0, rows, BLOCK_LINES):  # its rows straight onto the matrix
+                    matrix += pipe.read(4 * found * min(BLOCK_LINES, rows - n))
+                tokens = pipe.read().decode(**UTF8).split("\n")[:-1]  # whole only after whole rows
                 if len(tokens) == rows and dimension in (None, found):
-                    rows = np.frombuffer(part, np.float32, rows * found, 24).reshape(rows, found)
-                    duplicates += more + _add(tokens, rows, vocabulary, matrix)
-                    dimension = found
+                    keep = [i - seen for i, t in enumerate(tokens, seen)
+                            if first.setdefault(t, i) == i]  # the rows of tokens new here
+                    seen, dimension = seen + parsed, found
+                    if len(keep) < rows:  # move the kept rows up, over those of tokens held here
+                        part = np.frombuffer(matrix, np.float32, offset=at).reshape(rows, found)
+                        for j in range(0, len(keep), BLOCK_LINES):  # keep[j] >= j: read first
+                            part[: len(keep)][j : j + BLOCK_LINES] = part[keep[j : j + BLOCK_LINES]]
+                        del part, matrix[at + 4 * found * len(keep) :]  # the view first
                     continue
+                del matrix[at:]
             with text_reader(source, start, end) as stream:
                 lines = zip((line.rstrip("\n") for line in stream), numbers)  # numbered as read
                 if format == "headered" and start == 0:
@@ -230,10 +228,13 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
                         if dimension < 1:
                             raise ParseError("first record has no values", line=lineno)
                     rows = _parse_block(block, dimension)
-                    duplicates += _add([t for _, t, _, _ in block], rows, vocabulary, matrix)
-        if pid == 0:  # the child writes its dimension (0 with no record), duplicates, rows, tokens
-            head = np.array([dimension or 0, duplicates, len(vocabulary)], np.int64)
-            pipe.writelines([head, matrix, "".join(t + "\n" for t in vocabulary).encode(**UTF8)])
+                    keep = [i - seen for i, (_, t, _, _) in enumerate(block, seen)
+                            if first.setdefault(t, i) == i]  # the rows of new tokens
+                    seen += len(block)
+                    matrix.extend(rows if len(keep) == len(rows) else rows[keep])
+        if pid == 0:  # the child writes its dimension (0 with no record), record and token
+            head = np.array([dimension or 0, seen, len(first)], np.int64)  # counts, rows, tokens
+            pipe.writelines([head, matrix, "".join(t + "\n" for t in first).encode(**UTF8)])
     finally:
         if pid == 0:  # the parent checks that it read all the child wrote, not how it ended
             os._exit(0)
@@ -242,19 +243,16 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    if not vocabulary:
+    if not first:
         raise ParseError("empty embedding source")
-    if duplicates:
+    if duplicates := seen - len(first):
         log.warning("dropped %d duplicate embedding records", duplicates)
-    if format == "headered" and declared_count != len(vocabulary) + duplicates:
-        log.warning(
-            "header declares %d records, found %d", declared_count,
-            len(vocabulary) + duplicates,
-        )
+    if format == "headered" and declared_count != seen:
+        log.warning("header declares %d records, found %d", declared_count, seen)
     return EmbeddingTable(
         dimension=dimension,
-        vocabulary=tuple(vocabulary),
-        matrix=np.frombuffer(matrix, dtype=np.float32).reshape(len(vocabulary), dimension),
+        vocabulary=tuple(first),
+        matrix=np.frombuffer(matrix, dtype=np.float32).reshape(len(first), dimension),
         duplicates=duplicates,
     )
 

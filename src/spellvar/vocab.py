@@ -106,7 +106,8 @@ def write_lexicon(lexicon: FormalLexicon, sink) -> None:
     if not tokens:
         raise ValueError("empty lexicon would not read back")
     for token in tokens:
-        if token.split() != [token] or token.startswith("\ufeff") or token != token.lower():
+        if (not token or token != token.strip() or "\n" in token or "\r" in token
+                or token.startswith("\ufeff") or token != token.lower()):
             raise ValueError(f"lexicon token {token!r} would not read back as written")
     write_text(sink, "".join(token + "\n" for token in tokens))
 

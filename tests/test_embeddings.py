@@ -6,7 +6,7 @@ import os
 import sys
 import tracemalloc
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -353,6 +353,28 @@ class TestBlockParser:
         assert table.matrix.shape == (rows, dimension)
         assert peak < kept + 2.1 * block_text
 
+    @pytest.mark.parametrize("split", [False, True], ids=["one process", "two processes"])
+    def test_peak_memory_on_repeats_is_bounded_by_the_matrix(
+            self, monkeypatch, tmp_path, split):
+        # A repeated token's row is dropped with its block: 2.20 and 2.17 block texts here.
+        # Keeping every row to drop the repeats at the end took 4.66 in one process.
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 64)
+        rows, tokens, dimension = 4000, 10, 100
+        line = b" ".join([b"-0." + b"1234567890" * 10] * dimension)
+        raw = b"".join(b"w%d %s\n" % (i % tokens, line) for i in range(rows))
+        block_text = len(raw) // rows * embeddings.BLOCK_LINES
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(raw)
+        with split_forced() if split else nullcontext():
+            tracemalloc.start()
+            try:
+                table = load_embeddings(path if split else raw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (len(table), table.duplicates) == (tokens, rows - tokens)
+        assert peak < table.matrix.nbytes + 2.5 * block_text
+
 
 class TestSplitLoad:
     """A path loaded in two processes: the parent parses the lines before the first line
@@ -378,7 +400,13 @@ class TestSplitLoad:
         (b"a 1 2\nb 3 4\n\n", b"a 5 6\nc 7 8\n", ("a", "b", "c"), 1),
         (b"a 1 2\nb 3 4\n", "\ufeffc 5 6\n".encode(), ("a", "b", "\ufeffc"), 0),
         (b"\n\n\n\n\n\n\n\n", b"a 1 2\n", ("a",), 0),
-    ], ids=["repeated token", "U+FEFF opens the child's part", "no record before the split"])
+        # Kept rows on both sides of a dropped one move up over it.
+        (b"a 1 2\nb 3 4\n" + b"\n" * 8, b"c 5 6\nb 9 0\nd 7 8\n", ("a", "b", "c", "d"), 1),
+        # Two records, not the child's one token, count toward the duplicates.
+        (b"a 1 2\nb 3 4\nx 0 1\ny 1 0\n\n", b"c 5 6\nc 7 8\nb 9 0\n",
+         ("a", "b", "x", "y", "c"), 2),
+    ], ids=["repeated token", "U+FEFF opens the child's part", "no record before the split",
+            "a repeat inside the child's part", "repeats in the child's part"])
     def test_table_across_the_split(self, tmp_path, first, second, vocabulary, duplicates):
         raw = split_between(first, second)
         got = split_outcome(tmp_path, raw)
@@ -400,11 +428,13 @@ class TestSplitLoad:
             ("WARNING", "header declares 5 records, found 4")
         ]
 
-    def test_the_parent_holds_the_table_plus_two_block_texts(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("rows", [1000, 8000])
+    def test_the_parent_holds_the_table_plus_two_block_texts(self, monkeypatch, tmp_path, rows):
         # TestBlockParser's bound for one process holds for the parent, which takes the
-        # child's rows, not its text: 1.68 block texts here.
+        # child's rows a block at a time, not its text: 1.64 and 1.98 block texts here.
+        # Holding the child's part whole took 4.18 at 8,000 rows.
         monkeypatch.setattr(embeddings, "BLOCK_LINES", 64)
-        rows, dimension = 1000, 100
+        dimension = 100
         line = b" ".join([b"-0." + b"1234567890" * 10] * dimension)
         raw = b"".join(b"w%d %s\n" % (i, line) for i in range(rows))
         block_text = len(raw) // rows * embeddings.BLOCK_LINES
@@ -459,6 +489,43 @@ class TestSplitLoad:
         monkeypatch.setattr(embeddings, "_parse_block", dying)
         raw = split_between(b"a 1 2\nb 3 4\n\n\n", second)
         assert split_outcome(tmp_path, raw) == outcome(reference_load, raw)
+
+    def test_the_child_rows_kept_move_up_a_block_at_a_time(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 2)
+        raw = split_between(b"a 1 2\nb 3 4\n" + b"\n" * 32,
+                            b"c 5 6\na 0 0\nd 7 8\ne 9 9\nb 0 0\nf 1 1\ng 2 2\n")
+        got = split_outcome(tmp_path, raw)
+        assert got[0] == tuple("abcdefg") and got[-1] == 2
+        assert got == outcome(reference_load, raw)
+
+    @pytest.mark.parametrize("cut", [0, 10, 24, 32, 44, 48, 50])
+    def test_a_child_payload_cut_short_is_parsed_here(self, tmp_path, monkeypatch, cut):
+        # The child's 54 bytes: a 24-byte head, 24 bytes of rows, then "c\nd\ne\n".
+        fdopen = os.fdopen
+
+        class CutPipe:
+            """The child's end of the pipe, which writes only the first ``cut`` bytes."""
+
+            def __init__(self, pipe):
+                self.pipe, self.left = pipe, cut
+
+            def write(self, data):
+                data = memoryview(data).cast("B")[: self.left]
+                self.left -= len(data)
+                self.pipe.write(data)
+
+            def writelines(self, parts):
+                for part in parts:
+                    self.write(part)
+
+        def cutting(fd, mode="r", *args, **kwargs):
+            pipe = fdopen(fd, mode, *args, **kwargs)
+            return CutPipe(pipe) if mode == "wb" else pipe
+
+        monkeypatch.setattr(os, "fdopen", cutting)
+        raw = split_between(b"a 1 2\nb 3 4\nx 0 1\ny 1 0\n" + b"\n" * 20,
+                            b"c 5 6\nd 7 8\ne 9 0\n")
+        assert split_outcome(tmp_path, raw) == outcome(load_embeddings, raw)
 
     @pytest.mark.parametrize("first", [b"a 1 2\nb 3 4\n\n\n", b"a 1 2\nb 3 x\n\n\n"],
                              ids=["clean", "bad line before the split"])

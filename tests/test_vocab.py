@@ -148,13 +148,22 @@ class TestLexiconIO:
         assert sink.getvalue() == b"apple\nmango\nzebra\n"
 
     # load_lexicon folds case, so "Your" would read back as "your".
-    @pytest.mark.parametrize("token", ["x\ny", " pad", "a\tb", "", "\u3000", "\ufeffa", "Your"])
+    @pytest.mark.parametrize(
+        "token", ["x\ny", "x\ry", " pad", "pad ", "", "\u3000", "\ufeffa", "Your"])
     def test_write_rejects_a_token_that_would_not_read_back(self, token):
         sink = io.BytesIO()
         with pytest.raises(ValueError, match="would not read back") as raised:
             write_lexicon(FormalLexicon({"ok", token}), sink)
         assert repr(token) in str(raised.value)
         assert sink.getvalue() == b""
+
+    # The load splits lines only at LF, CR and CRLF, then strips each line's ends.
+    @pytest.mark.parametrize("token", [
+        "a b", "a\tb", "a\x1cb", "a\x85b", "a\u3000b", "a\x0bb", "a\x0cb", "a\u2028b"])
+    def test_a_token_with_inner_whitespace_reads_back(self, token):
+        sink = io.BytesIO()
+        write_lexicon(FormalLexicon({"ok", token}), sink)
+        assert load_lexicon(sink.getvalue()) == {"ok", token}
 
     def test_write_rejects_an_empty_lexicon(self):
         # load_lexicon refuses a file with no token, so none is written.
@@ -171,7 +180,8 @@ class TestLexiconIO:
         try:
             write_lexicon(lexicon, sink)
         except ValueError:
-            assert any(t.split() != [t] or t.startswith("\ufeff") for t in lexicon)
+            assert any(not t or t != t.strip() or "\n" in t or "\r" in t
+                       or t.startswith("\ufeff") for t in lexicon)
             return
         assert load_lexicon(sink.getvalue()) == lexicon
 
