@@ -108,7 +108,7 @@ def cmd_evaluate(opts: argparse.Namespace) -> int:
     lexicon = vocab.load_lexicon(opts.lexicon)
     table = normalize(load_embeddings(opts.embeddings, format=opts.format))
 
-    reviewed = [pair for pair in pairs if not pair.validation.value.startswith("rejected")]
+    reviewed = [pair for pair in pairs if not pair.validation.startswith("rejected")]
     if len(reviewed) < len(pairs):
         log.info("validation rejected %d of %d pairs", len(pairs) - len(reviewed), len(pairs))
     retained = [pair for pair in reviewed if pair.formal in lexicon]

@@ -72,7 +72,8 @@ def check_cutoffs(cutoffs: tuple[int, ...]) -> tuple[int, ...]:
     return cutoffs
 
 
-class PairStatus(enum.Enum):
+class PairStatus(str, enum.Enum):
+    """A pair's outcome; a member is the ``str`` a report line holds."""
     SCORED = "scored"
     INFORMAL_MISSING = "informal_missing"
     FORMAL_MISSING = "formal_missing"
@@ -289,7 +290,7 @@ def accuracy_summary(hits_at: dict[int, int], scored_count: int) -> list[str]:
 def _result_fields(r: PairResult) -> tuple[str, ...]:
     rank = "-" if r.rank is None else str(r.rank)
     neighbors = join_items([f"{t}:{_score_text(s)}" for t, s in r.top_neighbors])
-    return r.pair.informal, r.pair.formal, r.status.value, rank, neighbors
+    return r.pair.informal, r.pair.formal, r.status, rank, neighbors
 
 
 def _report_header(report: EvalReport) -> str:

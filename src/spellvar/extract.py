@@ -43,13 +43,15 @@ _NAME_RE = re.compile(r"\bname\b")
 _WORD_RE = re.compile(r"\w+\Z")
 
 
-class Delimiter(enum.Enum):
+class Delimiter(str, enum.Enum):
+    """How a definition quoted its variant; a member is the ``str`` the pairs file holds."""
     SINGLE_QUOTE = "single_quote"
     DOUBLE_QUOTE = "double_quote"
     BRACKET = "bracket"
 
 
-class Validation(enum.Enum):
+class Validation(str, enum.Enum):
+    """A pair's review status; a member is the ``str`` the pairs file holds."""
     UNVALIDATED = "unvalidated"
     CONFIRMED = "confirmed"
     REJECTED_NAME = "rejected_name"
@@ -203,10 +205,8 @@ def read_definitions(source) -> Iterator[DefinitionEntry]:
 
 def write_pairs(pairs: Iterable[VariantPair], sink) -> None:
     """Write one record per pair; ValueError, before writing, for a pair ``read_pairs`` refuses."""
-    write_records(sink, (
-        (_informal(p.informal), p.formal, p.entry_id, p.delimiter.value, p.validation.value)
-        for p in pairs
-    ))
+    write_records(sink, ((_informal(p.informal), p.formal, p.entry_id, p.delimiter, p.validation)
+                         for p in pairs))
 
 
 def _informal(token: str) -> str:

@@ -128,8 +128,7 @@ def load_frequencies(source) -> FrequencyTable:
             raise ValueError(f"repeated token {token!r}")
         return token, count
 
-    for token, count in read_records(source, 2, entry):
-        counts[token] = count
+    counts.update(read_records(source, 2, entry))  # each pair is stored before the next is read
     return FrequencyTable(counts)
 
 

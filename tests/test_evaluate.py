@@ -983,6 +983,17 @@ class TestReportRendering:
 class TestLoadReportRows:
     GOOD = b"ur\tyour\tscored\t1\tyour:0.993884,babylon:0.000000\n"
 
+    @pytest.mark.parametrize("status", list(PairStatus))
+    def test_each_status_is_the_text_its_field_holds(self, status):
+        scored = status is PairStatus.SCORED
+        row = PairResult(ReportPair("ur", "your"), status, 1 if scored else None,
+                         [("your", 0.5)] if scored else [])
+        tsv_sink = io.BytesIO()
+        write_report(EvalReport([row], EvalConfig()), io.BytesIO(), tsv_sink)
+        assert tsv_sink.getvalue().decode().split("\t")[2] == status.value
+        [read] = load_report_rows(tsv_sink.getvalue())
+        assert read.status is status and status == status.value
+
     def test_parses(self):
         rows = load_report_rows(self.GOOD)
         assert rows[0].rank == 1

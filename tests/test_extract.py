@@ -502,6 +502,23 @@ class TestPairsIO:
         assert lines[0] == "suxx\tsucks\te1\tdouble_quote\tunvalidated"
         assert read_pairs(sink.getvalue()) == pairs
 
+    @pytest.mark.parametrize("validation", list(Validation))
+    @pytest.mark.parametrize("delimiter", list(Delimiter))
+    def test_each_member_is_the_text_its_field_holds(self, delimiter, validation):
+        sink = io.BytesIO()
+        write_pairs([VariantPair("suxx", "sucks", "e1", delimiter, validation)], sink)
+        fields = sink.getvalue().decode().rstrip("\n").split("\t")
+        assert fields[3:] == [delimiter.value, validation.value]
+        [read] = read_pairs(sink.getvalue())
+        assert read.delimiter is delimiter and read.validation is validation
+        assert delimiter == delimiter.value and validation == validation.value
+
+    def test_a_member_is_joined_not_formatted(self):
+        # str() and format() of a member differ across Python versions; a
+        # writer joins the member itself, on the plain and the escaping path.
+        assert format_record([Delimiter.BRACKET]) == "bracket\n"
+        assert format_record([Delimiter.BRACKET, "a\tb"]) == "bracket\ta\\tb\n"
+
     def test_write_refuses_an_informal_token_opening_with_u_feff(self):
         pairs = [VariantPair("suxx", "sucks", "e1", Delimiter.DOUBLE_QUOTE),
                  VariantPair("\ufeffu", "you", "e2", Delimiter.BRACKET)]
