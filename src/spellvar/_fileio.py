@@ -14,13 +14,13 @@ one place that encodes, writing none; a caller's stream stays open.
 
 Records. A record is one line of tab-separated fields, ended by a line feed only
 (one carriage return before it is dropped; a lone one is field data). In every field a
-backslash, tab, line feed and carriage return are written ``\\\\``, ``\\t``,
-``\\n`` and ``\\r``; a backslash before any other character reads as
-itself. A list nested in one field (``join_items``) is comma-separated, and
-a backslash or comma inside an item is written ``\\\\`` or ``\\c`` before
-the field itself is escaped. ``read_records`` builds each record, and names
-the line of a wrong field count or of the builder's ValueError (ParseError).
-A count or rank field reads only as ``str`` writes a positive int (``count_field``).
+backslash, tab, line feed, carriage return and U+FEFF are written ``\\\\``, ``\\t``,
+``\\n``, ``\\r`` and ``\\z``, so no record file opens with a byte-order mark; a
+backslash before any other character reads as itself. A list nested in one field
+(``join_items``) is comma-separated, and a backslash or comma inside an item is
+written ``\\\\`` or ``\\c`` before the field itself is escaped. ``read_records``
+builds each record, naming the line of a wrong field count or of the builder's ValueError
+(ParseError). A count or rank field reads only as ``str`` writes a positive int (``count_field``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _escaper(letters: dict[str, str]):
     return (lambda text: text.translate(table)), unescape
 
 
-_escape, _unescape = _escaper({"\\": "\\", "\t": "t", "\n": "n", "\r": "r"})
+_escape, _unescape = _escaper({"\\": "\\", "\t": "t", "\n": "n", "\r": "r", "\ufeff": "z"})
 _escape_item, _unescape_item = _escaper({"\\": "\\", ",": "c"})
 
 
@@ -137,7 +137,8 @@ def write_text(sink, text: str) -> None:
 def format_record(fields: Sequence[str]) -> str:
     """One line: the fields, escaped, tab-joined, and a newline."""
     line = "\t".join(fields)
-    if line.count("\t") >= len(fields) or "\\" in line or "\n" in line or "\r" in line:
+    if (line.count("\t") >= len(fields) or "\\" in line or "\n" in line or "\r" in line
+            or "\ufeff" in line):
         line = "\t".join([_escape(f) for f in fields])
     return line + "\n"
 

@@ -189,7 +189,7 @@ def mine_pairs(
 # --- file formats ---------------------------------------------------------
 #
 # Both files are records of the _fileio codec, one per line, every field
-# escaped, so a definition may hold any text.
+# escaped, so a definition or a token may hold any text, U+FEFF included.
 #
 # definitions dump: entry_id TAB headword TAB definition_text.
 #
@@ -204,18 +204,12 @@ def read_definitions(source) -> Iterator[DefinitionEntry]:
 
 
 def write_pairs(pairs: Iterable[VariantPair], sink) -> None:
-    """Write one record per pair; ValueError, before writing, for a pair ``read_pairs`` refuses."""
-    write_records(sink, ((_informal(p.informal), p.formal, p.entry_id, p.delimiter, p.validation)
+    """Write one record per pair, in the given order; ``read_pairs`` reads back what it writes."""
+    write_records(sink, ((p.informal, p.formal, p.entry_id, p.delimiter, p.validation)
                          for p in pairs))
-
-
-def _informal(token: str) -> str:
-    if token.startswith("\ufeff"):  # a report opening with its row would not read back
-        raise ValueError(f"informal token {token!r} opens with U+FEFF")
-    return token
 
 
 def read_pairs(source) -> list[VariantPair]:
     """Read a pairs file; a bad line is the ParseError naming it."""
     return list(read_records(source, 5, lambda i, f, e, d, v: VariantPair(
-        _informal(i), f, e, Delimiter(d), Validation(v))))
+        i, f, e, Delimiter(d), Validation(v))))

@@ -105,9 +105,8 @@ def write_lexicon(lexicon: FormalLexicon, sink) -> None:
     tokens = sorted(lexicon)
     if not tokens:
         raise ValueError("empty lexicon would not read back")
-    for token in tokens:
-        if (not token or token != token.strip() or "\n" in token or "\r" in token
-                or token.startswith("\ufeff") or token != token.lower()):
+    for token in tokens:  # the loader's own rule; write_text refuses a leading U+FEFF
+        if not token or "\n" in token or "\r" in token or token.strip().lower() != token:
             raise ValueError(f"lexicon token {token!r} would not read back as written")
     write_text(sink, "".join(token + "\n" for token in tokens))
 

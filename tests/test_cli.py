@@ -20,6 +20,7 @@ from helpers import (
 )
 from spellvar import cli, vocab
 from spellvar.cli import _parse_bool, _parse_cutoffs, build_parser, load_config, main
+from spellvar.evaluate import load_report_rows
 from spellvar.extract import write_pairs
 from spellvar.vocab import write_lexicon
 
@@ -565,29 +566,28 @@ class TestEvaluateCommand:
         assert code == 1
         assert "error:" in err and "line 2" in err
 
-    def test_informal_token_opening_with_u_feff_is_refused_before_any_work(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_informal_token_opening_with_u_feff_opens_the_tsv_escaped(self, tmp_path, capsys):
         # With the first pair removed by the lexicon, the second pair's row
-        # would open the .tsv with a U+FEFF, which would not read back as
-        # written. The pairs file is refused at that line instead, before
-        # the embeddings are read.
+        # opens the .tsv. Its U+FEFF is written as \z, so the file does not
+        # open with a byte-order mark, and the row reads back as scored.
         emb, lex, pairs, report = write_eval_inputs(tmp_path, (
             "zz\tnotinlex\te1\tbracket\tunvalidated",
             "\ufeffur\tyour\te2\tbracket\tunvalidated",
         ))
         emb.write_text("your 0.9 0.1\n\ufeffur 1 0\nthe 0 1\n", encoding="utf-8")
         lex.write_text("your\nthe\n", encoding="utf-8")
-        monkeypatch.setattr(cli, "load_embeddings", lambda *a, **kw: pytest.fail("loaded"))
-        before = sorted(os.listdir(tmp_path))
         code, out, err = run(
             capsys, "evaluate",
             "--pairs", str(pairs), "--lexicon", str(lex),
             "--embeddings", str(emb), "--report", str(report),
         )
-        assert (code, out) == (1, "")
-        assert err == "error: line 2: informal token '\\ufeffur' opens with U+FEFF\n"
-        assert sorted(os.listdir(tmp_path)) == before
+        assert (code, err) == (0, "")
+        assert out.startswith("pairs: 2  evaluated: 1  scored: 1  ")
+        tsv = Path(f"{report}.tsv").read_bytes()
+        assert tsv.startswith(b"\\zur\tyour\tscored\t1\tyour:")
+        assert report.read_bytes().endswith(tsv)
+        [row] = load_report_rows(tsv)
+        assert (row.pair.informal, row.pair.formal, row.rank) == ("\ufeffur", "your", 1)
 
     @pytest.mark.parametrize("old", [None, b"old report\n"], ids=["new", "existing"])
     def test_failed_output_replaces_no_output(self, tmp_path, capsys, old):

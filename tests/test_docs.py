@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 from helpers import lexicon_of, pair
-from spellvar import embeddings, evaluate
+from spellvar import _fileio, embeddings, evaluate
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -43,3 +43,12 @@ def test_readme_split_size_follows_the_constant():
     text = README.read_text(encoding="utf-8")
     sizes = re.findall(r"at least (\d+) MiB \(`SPLIT_BYTES`\)", text)
     assert sizes == [str(embeddings.SPLIT_BYTES >> 20)]
+
+
+def test_readme_names_every_letter_of_the_record_codec():
+    # "File formats" lists how a field writes each character the codec escapes;
+    # a letter added to the codec's table must be added there too.
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"report\) escape .*? in any field as (.*?), so ", text, re.S)
+    letters = re.findall(r"\\(.)", _fileio._escape("".join(map(chr, range(0x110000)))))
+    assert listed is not None and sorted(re.findall(r"`\\(.)`", listed[1])) == sorted(letters)

@@ -943,6 +943,16 @@ class TestReportRendering:
             for (_, a), (_, b) in zip(row.top_neighbors, result.top_neighbors):
                 assert a == pytest.approx(b, abs=5e-7)  # %.6f quantization
 
+    def test_a_row_opening_with_u_feff_round_trips_through_tsv(self):
+        # The first row's U+FEFF, in its informal token and in a neighbour, is
+        # written \z, so the file does not open with a byte-order mark.
+        tsv = (b"\\zur\tyour\tscored\t1\tyour:0.993884,\\zthe:0.100000\n"
+               b"u\\z\tyou\tinformal_missing\t-\t\n")
+        rows = load_report_rows(tsv)
+        assert [r.pair.informal for r in rows] == ["\ufeffur", "u\ufeff"]
+        assert [t for t, _ in rows[0].top_neighbors] == ["your", "\ufeffthe"]
+        assert render_report_tsv(EvalReport(rows, EvalConfig())).encode() == tsv
+
     def test_summarize_rows_matches_report(self):
         table, lex, pairs, _ = eval_forced([1, 3], 5)
         pairs += [pair("ghost", "w000", "e8"), pair("inf0", "w009", "e9")]

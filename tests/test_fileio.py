@@ -42,6 +42,7 @@ class TestRecordCodec:
 
     def test_every_field_is_escaped(self):
         assert format_record(["a\\b", "t\tn\nr\r"]) == "a\\\\b\tt\\tn\\nr\\r\n"
+        assert format_record(["\ufeffa", "x\ufeffy"]) == "\\za\tx\\zy\n"
 
     def test_read_unescapes_every_field_and_skips_blank_lines(self):
         records = list(read_records(b"a\\\\b\tt\\tn\\nr\\r\n\nx\ty\n", 2, _fields))
@@ -49,6 +50,21 @@ class TestRecordCodec:
 
     def test_unknown_escape_reads_as_itself(self):
         assert list(read_records(b"C:\\slang\\\tx\n", 2, _fields)) == [["C:\\slang\\", "x"]]
+
+    def test_records_written_before_u_feff_had_its_escape_read_the_same(self):
+        # Such a writer left every U+FEFF as itself, and escaped the rest as now.
+        raw = "ur\tx\ufeffy\nu\ufeff\ta\\\\b\\t\n".encode()
+        assert list(read_records(raw, 2, _fields)) == [["ur", "x\ufeffy"], ["u\ufeff", "a\\b\t"]]
+
+    # A backslash before any letter but the codec's reads as itself, so only a
+    # lone \z in a foreign dump reads otherwise than before.
+    @pytest.mark.parametrize("written, read", [
+        (b"\\u2019", "\\u2019"), (b"\\b", "\\b"), (b"\\x", "\\x"), (b"\\\\z", "\\z"),
+        (b"\\z", "\ufeff"),
+    ], ids=["u2019", "b", "x", "escaped backslash z", "lone z"])
+    def test_a_foreign_dump_reads_as_before_but_for_a_lone_z(self, written, read):
+        [entry] = read_definitions(b"e1\tsuxx\tsee " + written + b" here\n")
+        assert entry.definition_text == f"see {read} here"
 
     def test_field_count_error(self):
         with pytest.raises(ParseError, match="line 2: expected 3 tab-separated fields, found 2"):

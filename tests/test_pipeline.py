@@ -2,9 +2,10 @@
 
 count-freq and build-vocab read one corpus, extract mines a definitions dump
 against the frequencies, evaluate scores the mined pairs and report reads the
-report back. Each command either exits 0 having written all of its outputs, or
-prints ``error:`` and exits 1 having written none; no writer refuses what the
-loaders accepted. Every file a command writes reads back through the tool's own
+report back; evaluate and report also run on a pairs file written by hand. Each
+command either exits 0 having written all of its outputs, or prints ``error:``
+and exits 1 having written none; no writer refuses what the loaders accepted.
+Every file a command writes reads back through the tool's own
 loader into what, written again, gives the same bytes.
 """
 
@@ -21,7 +22,7 @@ from helpers import write_definitions
 from spellvar._fileio import UTF8, write_text
 from spellvar.cli import main
 from spellvar.evaluate import EvalConfig, EvalReport, load_report_rows, render_report_tsv
-from spellvar.extract import read_pairs, write_pairs
+from spellvar.extract import Delimiter, Validation, read_pairs, write_pairs
 from spellvar.vocab import load_frequencies, load_lexicon, write_frequencies, write_lexicon
 
 # Tokens the inputs share, so that pairs reach evaluate and neighbours the
@@ -133,3 +134,82 @@ def test_every_command_succeeds_whole_or_fails_whole_and_its_files_read_back(inp
             if argv[0] == "evaluate":
                 report = (tmp / "eval.report").read_bytes()
                 assert report.endswith((tmp / "eval.report.tsv").read_bytes())
+
+
+# Informal tokens a person might write in a pairs file that extract would never
+# write: U+FEFF at the start, inside or alone, and the codecs' special characters.
+HAND_INFORMALS = ["\ufeffur", "\ufeffu", "u\ufeff", "t\ufeffeh", "\ufeff", "ur", "a,b", "a\\b",
+                  "a:b", "a\tb", "x\ny", "c\rd", "a\udcffb"]
+HAND_FORMALS = ["your", "you", "the", "ghost"]  # "ghost" is not in the lexicon
+HAND_LEXICON = "your\nyou\nthe\n\ufeffthe\na:b,c\n"
+_BY_HAND = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+BAD_PAIR_LINES = ["ur\tyour\te9\tbracket\tmaybe", "ur\tyour\te9\tbracket",
+                  "ur\t\ufeffthe\te9\tbracket\tconfirmed"]
+
+
+@st.composite
+def hand_written_inputs(draw):
+    """A pairs file with every ``Validation``, each U+FEFF written as itself or
+    as ``\\z``, now and then a bad line; the rows it holds; and an embeddings file."""
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(HAND_INFORMALS), st.sampled_from(HAND_FORMALS),
+        st.sampled_from(["e1", "e\ufeff2", "\ufeffe3", "e,4"]),
+        st.sampled_from(list(Delimiter)), st.sampled_from(list(Validation)),
+    ), min_size=1, max_size=8))
+    rows += [("ur", "your", "e0", Delimiter.BRACKET, v) for v in Validation]
+    rows = draw(st.permutations(rows))
+    lines = []
+    for row in rows:
+        fields = [field.translate(_BY_HAND) for field in row]
+        lines.append("\t".join(f.replace("\ufeff", "\\z") if draw(st.booleans()) else f
+                               for f in fields))
+    bad = draw(st.sampled_from([None] * 5 + BAD_PAIR_LINES))
+    lines += [bad] if bad else []
+    bom = draw(st.booleans())
+    if not bom and lines[0].startswith("\ufeff"):  # read as a byte-order mark, and dropped
+        rows[0] = (rows[0][0][1:], *rows[0][1:])
+        bad = bad or not rows[0][0]
+    pairs = _encoded("".join(line + "\n" for line in lines), bom)
+
+    value = st.sampled_from(["0", "1", "-1", "0.5", "2"])
+    tokens = [t for t in HAND_INFORMALS + HAND_FORMALS[1:] + ["\ufeffthe", "a:b,c"]
+              if not any(c in t for c in "\t\n\r") and draw(st.booleans())]
+    vectors = ["your 1 0"]  # first, so that no token opens the file
+    vectors += [f"{t} {draw(value)} {draw(value)}" for t in draw(st.permutations(tokens))]
+    embeddings = "".join(line + "\n" for line in vectors).encode(**UTF8)
+    return rows, bad, pairs, embeddings
+
+
+@seed(20261021)
+@settings(max_examples=60, deadline=None)
+@given(inputs=hand_written_inputs())
+def test_a_hand_written_pairs_file_is_evaluated_whole_or_refused_whole(inputs):
+    rows, bad, pairs, embeddings = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in [("pairs.tsv", pairs), ("emb.vec", embeddings),
+                           ("lex.txt", HAND_LEXICON.encode())]:
+            (tmp / name).write_bytes(data)
+        report = str(tmp / "eval.report")
+        argv = ["evaluate", "--pairs", str(tmp / "pairs.tsv"), "--lexicon", str(tmp / "lex.txt"),
+                "--embeddings", str(tmp / "emb.vec"), "--report", report, "--cutoffs", "1,2"]
+        for command in (argv, ["report", "--report", report + ".tsv"]):
+            before = set(os.listdir(tmp))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(command)
+            after = set(os.listdir(tmp))
+            if command is argv and bad:
+                assert (code, out.getvalue(), after) == (1, "", before)
+                assert err.getvalue().startswith("error: line ")
+                assert "would not read back" not in err.getvalue()
+                return
+            assert code == 0, err.getvalue()
+        assert after == before == {"pairs.tsv", "emb.vec", "lex.txt", "eval.report",
+                                   "eval.report.tsv"}
+        tsv = (tmp / "eval.report.tsv").read_bytes()
+        assert (tmp / "eval.report").read_bytes().endswith(tsv)
+        assert _rewritten(load_report_rows, _write_report_rows)(tmp / "eval.report.tsv") == tsv
+        kept = [(i, f) for i, f, _, _, v in rows
+                if not v.startswith("rejected") and f in ("your", "you", "the")]
+        assert [(r.pair.informal, r.pair.formal) for r in load_report_rows(tsv)] == kept

@@ -149,7 +149,7 @@ class TestLexiconIO:
 
     # load_lexicon folds case, so "Your" would read back as "your".
     @pytest.mark.parametrize(
-        "token", ["x\ny", "x\ry", " pad", "pad ", "", "\u3000", "\ufeffa", "Your"])
+        "token", ["x\ny", "x\ry", " pad", "pad ", "", "\u3000", "Your"])
     def test_write_rejects_a_token_that_would_not_read_back(self, token):
         sink = io.BytesIO()
         with pytest.raises(ValueError, match="would not read back") as raised:
@@ -157,13 +157,29 @@ class TestLexiconIO:
         assert repr(token) in str(raised.value)
         assert sink.getvalue() == b""
 
-    # The load splits lines only at LF, CR and CRLF, then strips each line's ends.
+    # The load splits lines only at LF, CR and CRLF, then strips each line's ends;
+    # U+FEFF is not whitespace, and "\ufeffa" sorts after "ok", so it is not the file's first.
     @pytest.mark.parametrize("token", [
-        "a b", "a\tb", "a\x1cb", "a\x85b", "a\u3000b", "a\x0bb", "a\x0cb", "a\u2028b"])
+        "a b", "a\tb", "a\x1cb", "a\x85b", "a\u3000b", "a\x0bb", "a\x0cb", "a\u2028b", "\ufeffa"])
     def test_a_token_with_inner_whitespace_reads_back(self, token):
         sink = io.BytesIO()
         write_lexicon(FormalLexicon({"ok", token}), sink)
         assert load_lexicon(sink.getvalue()) == {"ok", token}
+
+    def test_a_loaded_lexicon_writes_back(self):
+        lexicon = load_lexicon(b"a\n\xef\xbb\xbfb\n")
+        assert lexicon == {"a", "\ufeffb"}
+        sink = io.BytesIO()
+        write_lexicon(lexicon, sink)
+        assert sink.getvalue() == b"a\n\xef\xbb\xbfb\n"
+        assert load_lexicon(sink.getvalue()) == lexicon
+
+    def test_write_refuses_a_lexicon_whose_first_token_opens_with_u_feff(self):
+        # The load would drop it as a byte-order mark; write_text refuses it.
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match="^text would not read back as written$"):
+            write_lexicon(FormalLexicon({"\ufeffa", "\ufeffb"}), sink)
+        assert sink.getvalue() == b""
 
     def test_write_rejects_an_empty_lexicon(self):
         # load_lexicon refuses a file with no token, so none is written.
@@ -179,9 +195,9 @@ class TestLexiconIO:
         sink = io.BytesIO()
         try:
             write_lexicon(lexicon, sink)
-        except ValueError:
-            assert any(not t or t != t.strip() or "\n" in t or "\r" in t
-                       or t.startswith("\ufeff") for t in lexicon)
+        except ValueError:  # the loader's rule, or a file that would open with U+FEFF
+            assert any(not t or "\n" in t or "\r" in t or t.strip().lower() != t
+                       for t in lexicon) or min(lexicon).startswith("\ufeff")
             return
         assert load_lexicon(sink.getvalue()) == lexicon
 
@@ -268,6 +284,15 @@ class TestFrequencies:
         path = tmp_path / "freq.tsv"
         write_frequencies(table, path)
         assert dict(load_frequencies(path)) == dict(table)
+
+    def test_a_loaded_table_writes_back(self):
+        # "\ufeffb" is the most frequent, so its line opens the file, with \z.
+        table = load_frequencies(b"a\t1\n\xef\xbb\xbfb\t5\n")
+        assert dict(table) == {"a": 1, "\ufeffb": 5}
+        sink = io.BytesIO()
+        write_frequencies(table, sink)
+        assert sink.getvalue() == b"\\zb\t5\na\t1\n"
+        assert load_frequencies(sink.getvalue()) == table
 
     def test_load_rejects_bad_field_count(self):
         with pytest.raises(ParseError, match="line 1"):
