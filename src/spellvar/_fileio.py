@@ -1,16 +1,16 @@
 """File access for the package: the one place that opens files, and the
 tab-separated record codec.
 
-Opening. Every loader reads a path, raw bytes or an open binary file object;
-writers take a path or an open binary file object, and a text stream fails
-with TypeError. Only paths are opened (and closed) here. Text is UTF-8 with
-``surrogateescape``: a byte that is not UTF-8 reads as a lone surrogate and
-is written back as the same byte. A path is written through a new sibling
-temporary file, randomly named, that replaces it only once the whole output
-is written, so a failed write leaves the old file as it was; ``binary_writers``
-extends that to every output of one command. ``text_reader`` is the one place
-that decodes, dropping a leading UTF-8 byte-order mark, and ``write_text`` the
-one place that encodes, writing none; a caller's stream stays open.
+Opening. A path is a ``str`` or any ``os.PathLike``, as ``open()`` takes it. Every
+loader reads a path, raw bytes or an open binary file object; writers take a path or
+an open binary file object, and a text stream fails with TypeError. Only paths are
+opened (and closed) here. Text is UTF-8 with ``surrogateescape``: a byte that is not
+UTF-8 reads as a lone surrogate and is written back as the same byte. A path is
+written through a new sibling temporary file, randomly named, that replaces it only
+once the whole output is written, so a failed write leaves the old file as it was;
+``binary_writers`` extends that to every output of one command. ``text_reader`` is the
+one place that decodes, dropping a leading UTF-8 byte-order mark, and ``write_text``
+the one place that encodes, writing none; a caller's stream stays open.
 
 Records. A record is one line of tab-separated fields, ended by a line feed only
 (one carriage return before it is dropped; a lone one is field data). In every field a
@@ -30,7 +30,6 @@ import os
 import re
 import stat
 from contextlib import ExitStack, contextmanager, suppress
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError
@@ -77,7 +76,7 @@ def binary_writers(*sinks):
 
 
 def _open(sink, stack, renames):
-    if not isinstance(sink, (str, Path)):
+    if not isinstance(sink, (str, os.PathLike)):
         return sink
     path = os.path.realpath(sink)
     old = os.stat(path) if os.path.exists(path) else None
@@ -111,7 +110,7 @@ def text_reader(source, start: int = 0, end: int | None = None, newline: str | N
     """A text stream over a path (only its bytes ``[start, end)``), bytes or the caller's
     binary stream, which it leaves open; ``newline`` is ``io.TextIOWrapper``'s."""
     with ExitStack() as stack:
-        if isinstance(source, (str, Path)):
+        if isinstance(source, (str, os.PathLike)):
             source = open(source, "rb") if end is None else io.BufferedReader(_Head(source, end))
             stack.enter_context(source).seek(start)
         elif isinstance(source, bytes):

@@ -16,7 +16,7 @@ at a time, each block by one ``np.loadtxt`` call, or line by line where that cal
 cannot vouch for the block; the line parser alone holds the rules and messages for one line. So
 beside the matrix the loader holds one block of records, each line split once into its token and its
 values text, however large the file or many its repeated tokens, also where a forked child parses
-the second half of a path of ``SPLIT_BYTES`` or more and hands its rows over a block at a time, for
+the second half of a path of ``SPLIT_BYTES`` or more and hands over its tokens, then its rows, for
 the same result. Values are parsed exactly as ``float()`` parses their bytes, so a non-ASCII digit
 or space is refused, and must be finite in float32: a wrong value count, a non-numeric value, a NaN
 or infinity, or a value past float32's range is a ParseError naming its line.
@@ -30,7 +30,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field, replace
-from itertools import count, islice
+from itertools import compress, count, islice
 from typing import Iterable
 
 import numpy as np
@@ -140,10 +140,10 @@ def _parse_block(block: list[tuple[int, str, str, str]], dimension: int) -> np.n
 def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     """Parse an embedding file into an EmbeddingTable.
 
-    ``source`` may be a path, bytes, or a binary file object. ``format`` is
-    ``plain`` (dimension inferred from the first data line) or ``headered``
-    (first line is ``count dim``). Duplicate tokens keep the first occurrence, and a repeat's
-    row is dropped with its block; ``duplicates`` is the records read less the tokens kept.
+    ``source`` may be a path (``str`` or ``os.PathLike``), bytes, or a binary file object.
+    ``format`` is ``plain`` (dimension inferred from the first data line) or ``headered`` (first
+    line is ``count dim``). Duplicate tokens keep the first occurrence, and a repeat's row is
+    dropped with its block; ``duplicates`` is the records read less the tokens kept.
 
     The source is read line by line through ``text_reader``, each line split as
     ``bytes.splitlines()`` splits (at LF, CR or CRLF), kept as the text it decodes to,
@@ -156,15 +156,16 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
     that differs from the records found is logged as a warning. Beside the matrix and the tokens it
     holds one block of lines. A path of at least ``SPLIT_BYTES`` is parsed by two processes where 2
     or more CPUs are allowed, no other thread runs and ``os.fork`` succeeds (a forked child takes
-    the lines after the first line feed from the middle byte on, and the parent reads its rows onto
-    the matrix a block at a time), else by one: the same table, warnings, errors, memory bound.
+    the lines after the first line feed from the middle byte on and sends its tokens, then its
+    rows, read a block at a time; the parent appends the rows of the tokens new to it), else by
+    one: the same table, warnings, errors, memory bound. No row is moved once appended.
     """
     if format not in ("plain", "headered"):
         raise ValueError(f"unknown embedding format: {format!r}")
     dimension, pid = None, None
-    first: dict[str, int] = {}  # token -> the number of its first record, in that order
+    first: dict[str, int] = {}  # each token kept, in file order -> a number no later record takes
     seen = 0  # the records read here or by the child, each numbered by the count before it
-    matrix = bytearray()  # the float32 rows of the tokens in first, grown in place block by block
+    matrix = bytearray()  # the float32 rows of the tokens in first, only ever appended
     numbers = count(1)  # line numbers, the second part's following the first's
     parts = [(0, None)]  # the byte ranges parsed in this process
     try:  # os.sched_getaffinity exists only where os.fork does
@@ -184,23 +185,21 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
                 parts = [(0, split), (split, None)] if pid else [(split, None)]
         for start, end in parts:
             if pid and end is None:  # the child's part, unless cut short or of another dimension
-                head = pipe.read(24).ljust(24, b"\xff")  # cut short, its counts read < 0
-                found, parsed, rows = np.frombuffer(head, np.int64).tolist()
-                at = len(matrix)
-                for n in range(0, rows, BLOCK_LINES):  # its rows straight onto the matrix
-                    matrix += pipe.read(4 * found * min(BLOCK_LINES, rows - n))
-                tokens = pipe.read().decode(**UTF8).split("\n")[:-1]  # whole only after whole rows
+                head = pipe.read(32).ljust(32, b"\xff")  # cut short, its counts read < 0
+                found, parsed, rows, size = np.frombuffer(head, np.int64).tolist()
+                tokens = pipe.read(max(size, 0)).decode(**UTF8).split("\n")[:-1]
                 if len(tokens) == rows and dimension in (None, found):
-                    keep = [i - seen for i, t in enumerate(tokens, seen)
-                            if first.setdefault(t, i) == i]  # the rows of tokens new here
-                    seen, dimension = seen + parsed, found
-                    if len(keep) < rows:  # move the kept rows up, over those of tokens held here
-                        part = np.frombuffer(matrix, np.float32, offset=at).reshape(rows, found)
-                        for j in range(0, len(keep), BLOCK_LINES):  # keep[j] >= j: read first
-                            part[: len(keep)][j : j + BLOCK_LINES] = part[keep[j : j + BLOCK_LINES]]
-                        del part, matrix[at + 4 * found * len(keep) :]  # the view first
-                    continue
-                del matrix[at:]
+                    new, at = [t not in first for t in tokens], len(matrix)  # each token sent once
+                    buffer = np.empty((min(rows, BLOCK_LINES), found), np.float32)
+                    for n in range(0, rows, BLOCK_LINES):  # new tokens' rows, a block at a time
+                        if pipe.readinto(part := buffer[: rows - n]) < part.nbytes:
+                            break
+                        matrix.extend(part[new[n : n + BLOCK_LINES]])
+                    else:  # its new tokens join first only once all their rows are read
+                        first.update(zip(compress(tokens, new), count(seen)))
+                        seen, dimension = seen + parsed, found
+                        continue
+                    del matrix[at:]
             with text_reader(source, start, end) as stream:
                 lines = zip((line.rstrip("\n") for line in stream), numbers)  # numbered as read
                 if format == "headered" and start == 0:
@@ -228,13 +227,13 @@ def load_embeddings(source, format: str = "plain") -> EmbeddingTable:
                         if dimension < 1:
                             raise ParseError("first record has no values", line=lineno)
                     rows = _parse_block(block, dimension)
-                    keep = [i - seen for i, (_, t, _, _) in enumerate(block, seen)
-                            if first.setdefault(t, i) == i]  # the rows of new tokens
+                    new = [first.setdefault(t, i) == i for i, (_, t, *_) in enumerate(block, seen)]
                     seen += len(block)
-                    matrix.extend(rows if len(keep) == len(rows) else rows[keep])
-        if pid == 0:  # the child writes its dimension (0 with no record), record and token
-            head = np.array([dimension or 0, seen, len(first)], np.int64)  # counts, rows, tokens
-            pipe.writelines([head, matrix, "".join(t + "\n" for t in first).encode(**UTF8)])
+                    matrix.extend(rows[new])
+        if pid == 0:  # four counts (dimension 0 with no record), then its tokens, then its rows
+            tokens = "".join(t + "\n" for t in first).encode(**UTF8)
+            head = np.array([dimension or 0, seen, len(first), len(tokens)], np.int64)
+            pipe.writelines([head, tokens, matrix])
     finally:
         if pid == 0:  # the parent checks that it read all the child wrote, not how it ended
             os._exit(0)

@@ -105,10 +105,10 @@ def write_lexicon(lexicon: FormalLexicon, sink) -> None:
     tokens = sorted(lexicon)
     if not tokens:
         raise ValueError("empty lexicon would not read back")
-    for token in tokens:  # the loader's own rule; write_text refuses a leading U+FEFF
+    for token in tokens:  # the loader's rule; a blank line keeps a leading U+FEFF in a token
         if not token or "\n" in token or "\r" in token or token.strip().lower() != token:
             raise ValueError(f"lexicon token {token!r} would not read back as written")
-    write_text(sink, "".join(token + "\n" for token in tokens))
+    write_text(sink, "\n" * tokens[0].startswith("\ufeff") + "".join(t + "\n" for t in tokens))
 
 
 def count_frequencies(corpus: Iterable[str]) -> FrequencyTable:

@@ -356,7 +356,7 @@ class TestBlockParser:
     @pytest.mark.parametrize("split", [False, True], ids=["one process", "two processes"])
     def test_peak_memory_on_repeats_is_bounded_by_the_matrix(
             self, monkeypatch, tmp_path, split):
-        # A repeated token's row is dropped with its block: 2.20 and 2.17 block texts here.
+        # A repeated token's row is dropped with its block: 2.15 and 2.17 block texts here.
         # Keeping every row to drop the repeats at the end took 4.66 in one process.
         monkeypatch.setattr(embeddings, "BLOCK_LINES", 64)
         rows, tokens, dimension = 4000, 10, 100
@@ -400,7 +400,7 @@ class TestSplitLoad:
         (b"a 1 2\nb 3 4\n\n", b"a 5 6\nc 7 8\n", ("a", "b", "c"), 1),
         (b"a 1 2\nb 3 4\n", "\ufeffc 5 6\n".encode(), ("a", "b", "\ufeffc"), 0),
         (b"\n\n\n\n\n\n\n\n", b"a 1 2\n", ("a",), 0),
-        # Kept rows on both sides of a dropped one move up over it.
+        # The child's row for a token held here is dropped, and the rows around it kept.
         (b"a 1 2\nb 3 4\n" + b"\n" * 8, b"c 5 6\nb 9 0\nd 7 8\n", ("a", "b", "c", "d"), 1),
         # Two records, not the child's one token, count toward the duplicates.
         (b"a 1 2\nb 3 4\nx 0 1\ny 1 0\n\n", b"c 5 6\nc 7 8\nb 9 0\n",
@@ -431,8 +431,9 @@ class TestSplitLoad:
     @pytest.mark.parametrize("rows", [1000, 8000])
     def test_the_parent_holds_the_table_plus_two_block_texts(self, monkeypatch, tmp_path, rows):
         # TestBlockParser's bound for one process holds for the parent, which takes the
-        # child's rows a block at a time, not its text: 1.64 and 1.98 block texts here.
-        # Holding the child's part whole took 4.18 at 8,000 rows.
+        # child's rows a block at a time, not its text: 1.64 and 1.83 block texts here, at
+        # 8,000 rows mostly the table's own finiteness check. Holding the child's part whole
+        # took 4.18 at 8,000 rows.
         monkeypatch.setattr(embeddings, "BLOCK_LINES", 64)
         dimension = 100
         line = b" ".join([b"-0." + b"1234567890" * 10] * dimension)
@@ -490,7 +491,8 @@ class TestSplitLoad:
         raw = split_between(b"a 1 2\nb 3 4\n\n\n", second)
         assert split_outcome(tmp_path, raw) == outcome(reference_load, raw)
 
-    def test_the_child_rows_kept_move_up_a_block_at_a_time(self, tmp_path, monkeypatch):
+    def test_the_child_rows_of_tokens_held_here_are_dropped_a_block_at_a_time(
+            self, tmp_path, monkeypatch):
         monkeypatch.setattr(embeddings, "BLOCK_LINES", 2)
         raw = split_between(b"a 1 2\nb 3 4\n" + b"\n" * 32,
                             b"c 5 6\na 0 0\nd 7 8\ne 9 9\nb 0 0\nf 1 1\ng 2 2\n")
@@ -498,9 +500,11 @@ class TestSplitLoad:
         assert got[0] == tuple("abcdefg") and got[-1] == 2
         assert got == outcome(reference_load, raw)
 
-    @pytest.mark.parametrize("cut", [0, 10, 24, 32, 44, 48, 50])
+    @pytest.mark.parametrize("cut", [0, 10, 24, 32, 35, 38, 44, 46, 48, 50, 54, 61])
     def test_a_child_payload_cut_short_is_parsed_here(self, tmp_path, monkeypatch, cut):
-        # The child's 54 bytes: a 24-byte head, 24 bytes of rows, then "c\nd\ne\n".
+        # The child's 62 bytes: a 32-byte head, "c\nd\ne\n", then 3 rows of 8 bytes, read
+        # one at a time, so a cut inside them comes after some are on the matrix.
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 1)
         fdopen = os.fdopen
 
         class CutPipe:

@@ -6,6 +6,7 @@ import os
 import re
 import stat
 import threading
+from pathlib import PurePosixPath
 
 import pytest
 from hypothesis import given, seed, settings
@@ -160,7 +161,33 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, name):
     assert load(str(paths["marked"])) != load(str(paths["stripped"]))
 
 
+class _FsPath:
+    """The least that ``open()`` takes as a path: an object with ``__fspath__``."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __fspath__(self) -> str:
+        return self.path
+
+
+@pytest.mark.parametrize("name", _LOADERS)
+def test_any_os_path_like_is_a_path(tmp_path, name):
+    """Each loader reads a path given as any ``os.PathLike`` as it reads its ``str``."""
+    load, text = _LOADERS[name]
+    path = tmp_path / "input"
+    path.write_bytes(text.encode())
+    assert load(PurePosixPath(path)) == load(_FsPath(str(path))) == load(str(path))
+
+
 class TestPathWriters:
+    @pytest.mark.parametrize("kind", [PurePosixPath, _FsPath])
+    def test_write_text_takes_any_os_path_like(self, tmp_path, kind):
+        path = tmp_path / "out.txt"
+        write_text(kind(str(path)), "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
     def test_failed_text_write_leaves_the_old_file(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_bytes(b"old contents\n")
