@@ -1,4 +1,4 @@
-from .cli import entry_point
+from .cli import main
 
 if __name__ == "__main__":
-    entry_point()
+    raise SystemExit(main())

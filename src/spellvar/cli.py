@@ -241,9 +241,5 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def entry_point() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry_point()
+    sys.exit(main())

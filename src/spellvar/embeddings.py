@@ -69,7 +69,7 @@ class EmbeddingTable:
                 f"matrix shape {self.matrix.shape} does not match "
                 f"{len(self.vocabulary)} tokens x {self.dimension} dims"
             )
-        if not np.all(np.isfinite(self.matrix)):
+        if not np.isfinite([self.matrix.min(initial=0), self.matrix.max(initial=0)]).all():
             raise ValueError("matrix contains non-finite entries")
         index = dict(zip(self.vocabulary, range(len(self.vocabulary))))
         if len(index) < len(self.vocabulary):  # name the first token seen twice

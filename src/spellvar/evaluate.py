@@ -193,10 +193,7 @@ def rank_formal_neighbors(
     k: int,
     exclude_self: bool = True,
 ) -> list[tuple[str, float]]:
-    """``CandidatePool.neighbors`` on a pool built for this call, once k and the token pass."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    table.query_row(informal)
+    """A fresh pool's ``neighbors``: its results and errors, so a refused call costs one build."""
     return CandidatePool(table, lexicon).neighbors(informal, k, exclude_self)
 
 

@@ -375,7 +375,8 @@ class TestEvaluateCommand:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, PYTHONPATH=path)
             subprocess.run(
-                [sys.executable, "-c", "from spellvar.cli import entry_point; entry_point()",
+                [sys.executable, "-c",
+                 "import sys; from spellvar.cli import main; sys.exit(main())",
                  "evaluate", "--pairs", "pairs.tsv", "--lexicon", "lex.txt",
                  "--embeddings", "emb.vec", "--report", "run.report"],
                 cwd=tmp_path, env=env, check=True, capture_output=True, timeout=120,
@@ -867,6 +868,28 @@ class TestParser:
         assert "spellvar: error: unrecognized arguments: --bogus" in bogus.stderr
         assert helped.returncode == 0
         assert helped.stdout.startswith("usage: spellvar")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["evaluate", "--bogus"], 2), (["report", "--report", "missing.tsv"], 1),
+    ], ids=["help", "bad flag", "missing report"])
+    def test_the_console_script_target_runs_as_python_m_does(self, tmp_path, argv, code):
+        # An installed console script runs sys.exit(attr()) for its "module:attr".
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        module, attr = re.search(
+            r'^\[project\.scripts\]\nspellvar = "([\w.]+):(\w+)"$', text, re.M).groups()
+        src = str(Path(spellvar.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script, python_m = (
+            subprocess.run(
+                [sys.executable, *head, *argv], cwd=tmp_path,
+                env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+            )
+            for head in (["-c", f"import sys; from {module} import {attr}; sys.exit({attr}())"],
+                         ["-m", "spellvar"])
+        )
+        assert script.returncode == code
+        assert (script.returncode, script.stdout, script.stderr) == (
+            python_m.returncode, python_m.stdout, python_m.stderr)
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
 from contextlib import contextmanager, nullcontext
@@ -149,6 +150,19 @@ def split_forced():
         mock.patch.object(os, "fork", side_effect=os.fork) as fork,
     ):
         yield fork
+
+
+@contextmanager
+def second_thread():
+    """A Python thread beside the main one, alive until the block ends."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
 
 
 def assert_no_child():
@@ -431,9 +445,9 @@ class TestSplitLoad:
     @pytest.mark.parametrize("rows", [1000, 8000])
     def test_the_parent_holds_the_table_plus_two_block_texts(self, monkeypatch, tmp_path, rows):
         # TestBlockParser's bound for one process holds for the parent, which takes the
-        # child's rows a block at a time, not its text: 1.64 and 1.83 block texts here, at
-        # 8,000 rows mostly the table's own finiteness check. Holding the child's part whole
-        # took 4.18 at 8,000 rows.
+        # child's rows a block at a time, not its text: 1.64 and 1.35 block texts here.
+        # A finiteness check with a bool per value took 1.83 at 8,000 rows, and holding
+        # the child's part whole 4.18.
         monkeypatch.setattr(embeddings, "BLOCK_LINES", 64)
         dimension = 100
         line = b" ".join([b"-0." + b"1234567890" * 10] * dimension)
@@ -465,6 +479,25 @@ class TestSplitLoad:
         assert [str(w.message) for w in caught] == []
         assert table.vocabulary == ("a", "b", "c", "d")
         assert_no_child()
+
+    @pytest.mark.parametrize("case", [
+        "a second thread", "one CPU", "bytes", "an open binary file", "a path below SPLIT_BYTES"])
+    def test_no_fork_where_the_load_must_not_split(self, tmp_path, case):
+        # A child forked while another thread holds a lock would find it held for good.
+        raw = split_between(b"a 1 2\nb 3 4\n\n\n", b"c 5 6\na 7 8\n")
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(raw)
+        guard = {
+            "a second thread": second_thread(),
+            "one CPU": mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True),
+            "a path below SPLIT_BYTES": mock.patch.object(embeddings, "SPLIT_BYTES", len(raw) + 1),
+        }.get(case, nullcontext())
+        with split_forced() as fork, guard, path.open("rb") as file:
+            source = {"bytes": raw, "an open binary file": file}.get(case, path)
+            got = outcome(lambda _, format: load_embeddings(source, format), raw)
+        assert fork.call_count == 0
+        assert got == outcome(reference_load, raw) == outcome(load_embeddings, raw)
+        assert got[0] == ("a", "b", "c")
 
     def test_a_parse_error_in_the_first_part_leaves_no_child(self, tmp_path):
         # The child's part is long enough to be still parsing when the parent fails.
@@ -774,15 +807,33 @@ class TestTableInvariants:
                 )
 
     def test_shape_mismatch_rejected(self):
-        # So are a zero dimension with a matching (n, 0) matrix, and a NaN or an infinity.
+        # So are a zero dimension with a matching (n, 0) matrix, and a NaN or an infinity,
+        # in the first row or the last.
         for dimension, matrix, message in [
             (3, np.zeros((1, 2), dtype=np.float32), "^matrix shape "),
             (0, np.zeros((1, 0), dtype=np.float32), "^dimension must be positive, got 0$"),
             (2, np.array([[1.0, np.nan]], dtype=np.float32), "^matrix contains non-finite"),
             (2, np.array([[-np.inf, 0.0]], dtype=np.float32), "^matrix contains non-finite"),
+        ] + [
+            (2, np.array([[1.0, 2.0], [3.0, bad]], dtype=np.float32),
+             "^matrix contains non-finite entries$")
+            for bad in (np.nan, np.inf, -np.inf)
         ]:
             with pytest.raises(ValueError, match=message):
-                EmbeddingTable(dimension=dimension, vocabulary=("a",), matrix=matrix)
+                EmbeddingTable(dimension=dimension, vocabulary=("a", "b")[: len(matrix)],
+                               matrix=matrix)
+
+    def test_the_finiteness_check_holds_no_array_of_the_matrix_size(self):
+        # A bool per value was a quarter of a float32 matrix; min and max hold 0.002 here.
+        matrix = np.ones((64, 20_000), dtype=np.float32)
+        vocabulary = tuple(f"t{i}" for i in range(len(matrix)))
+        tracemalloc.start()
+        try:
+            EmbeddingTable(dimension=20_000, vocabulary=vocabulary, matrix=matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * matrix.nbytes
 
     def test_degenerate_flags_exactly_the_zero_rows(self):
         tiny = float(np.float32(1.4e-45))  # the smallest float32 subnormal

